@@ -11,11 +11,10 @@ levels in fresh subprocesses (default ``ray.init(num_cpus=4)`` then
 ``num_cpus=16`` — within this VM's 16 physical cores; override with
 FSRAY_SCALING_LO/HI) on the same input and reports throughput at both
 plus scaling efficiency ``(thr_hi / thr_lo) / (hi / lo)`` — the
-sandbox proxy for the N-vs-4N-node rule.  The default protocol is
-INTERLEAVED PAIRS (``--pairs``, default 2, env FSRAY_SCALING_PAIRS):
+single-host proxy for the N-vs-4N-node rule.  The protocol is INTERLEAVED
+PAIRS (``--pairs``, at least 1, default 2, env FSRAY_SCALING_PAIRS):
 each (lo, hi) pair runs back-to-back so slow host drift cancels in the
-pair's ratio; ``--pairs 0`` selects the legacy all-lo-then-all-hi
-best-of-N protocol.
+pair's ratio.
 
 This script OWNS its Ray session (the only places allowed to besides
 tests/CLI): the driver contract module itself never calls ray.init.
@@ -96,9 +95,7 @@ def _warm_workers(num_cpus: int) -> None:
     return len(set(pids))
 
 
-def headline(
-    num_cpus: int, pages_rows: int, workdir: str, warm_build: bool = True
-) -> dict:
+def headline(num_cpus: int, pages_rows: int, workdir: str) -> dict:
     """Fresh pages-index build + BM25 query workload; returns metrics.
 
     The job config is IDENTICAL at every parallelism level (same shards,
@@ -122,12 +119,9 @@ def headline(
     _warm_workers(num_cpus)
     # one untimed warm build of the SAME job: pays per-process lazy-init
     # (worker module imports, arrow kernel/thread-pool setup, input page
-    # cache) once, so the timed run reports steady-state throughput —
-    # the same discipline as the scaling path's best-of-N trials (which
-    # skip it after their first trial: later trials are already warm)
-    if warm_build:
-        build_index(paths, index_dir + "_warm", cfg, resume=False)
-        shutil.rmtree(index_dir + "_warm", ignore_errors=True)
+    # cache) once, so the timed run reports steady-state throughput
+    build_index(paths, index_dir + "_warm", cfg, resume=False)
+    shutil.rmtree(index_dir + "_warm", ignore_errors=True)
     # best-of-3 timed builds (same policy as the query side): identical
     # warm runs on this VM swing 8-15 s, so a single sample conflates
     # host noise with software throughput — steady state is the min
@@ -269,30 +263,15 @@ def run_worker(num_cpus: int, workdir: str) -> None:
     import ray
 
     ray.init(address="local", num_cpus=num_cpus, include_dashboard=False)
-    trials = int(os.environ.get("FSRAY_BENCH_TRIALS", "3"))
-    best = None
-    best_qps = 0.0
-    for t in range(max(1, trials)):
-        h = headline(
-            num_cpus, PAGES_ROWS, os.path.join(workdir, f"t{t}"),
-            warm_build=(t == 0),
-        )
-        best_qps = max(best_qps, h["queries_per_sec"])
-        if best is None or h["docs_per_sec"] > best["docs_per_sec"]:
-            best = h
-    best["queries_per_sec"] = best_qps
-    # best-of-N per metric: this VM's wall clock is ±50% noisy between
-    # identical runs, and build/query noise windows are independent
-    print("WORKER_RESULT " + json.dumps(best))
+    h = headline(num_cpus, PAGES_ROWS, workdir)
+    print("WORKER_RESULT " + json.dumps(h))
     ray.shutdown()
 
 
-def _run_leg(n: int, workdir: str, trials: int | None = None) -> dict:
+def _run_leg(n: int, workdir: str) -> dict:
     """One fresh-process headline invocation at num_cpus=n."""
     env = dict(os.environ)
     env.pop("RAY_ADDRESS", None)
-    if trials is not None:
-        env["FSRAY_BENCH_TRIALS"] = str(trials)
     p = subprocess.run(
         [sys.executable, __file__, "--_worker", str(n), workdir],
         capture_output=True,
@@ -312,14 +291,14 @@ def _run_leg(n: int, workdir: str, trials: int | None = None) -> dict:
     return json.loads(line[len("WORKER_RESULT "):])
 
 
-def run_scaling_pairs(lo: int, hi: int, n_pairs: int) -> None:
+def run_scaling(lo: int, hi: int, n_pairs: int) -> None:
     """Interleaved (lo, hi) pairs: each leg is a fresh process run
     ADJACENT in time to its partner, so slow host drift (the ±50%
     wall-clock variance documented in BASELINE.md) hits both legs of a
-    pair roughly equally and cancels in the ratio — unlike the default
-    protocol, where all lo trials finish before any hi trial starts and
-    a drift between the two windows lands directly in the efficiency.
-    Reports every pair unaveraged plus the median efficiency."""
+    pair roughly equally and cancels in the ratio, where a drift between
+    an all-lo window and an all-hi window would land directly in the
+    efficiency.  Reports every pair unaveraged plus the median
+    efficiency."""
     global PAGES_ROWS
     PAGES_ROWS = int(os.environ.get("FSRAY_SCALING_PAGES", "800000"))
     os.environ["FSRAY_BENCH_PAGES"] = str(PAGES_ROWS)
@@ -328,8 +307,8 @@ def run_scaling_pairs(lo: int, hi: int, n_pairs: int) -> None:
     workdir = tempfile.mkdtemp(prefix="fsray_scaling_")
     try:
         for t in range(n_pairs):
-            r_lo = _run_leg(lo, os.path.join(workdir, f"p{t}lo"), trials=1)
-            r_hi = _run_leg(hi, os.path.join(workdir, f"p{t}hi"), trials=1)
+            r_lo = _run_leg(lo, os.path.join(workdir, f"p{t}lo"))
+            r_hi = _run_leg(hi, os.path.join(workdir, f"p{t}hi"))
             pairs.append(
                 {
                     "build_docs_per_sec": {
@@ -383,67 +362,11 @@ def run_scaling_pairs(lo: int, hi: int, n_pairs: int) -> None:
     print(json.dumps(out))
 
 
-def run_scaling(
-    lo: int | None = None, hi: int | None = None, pairs: int | None = None
-) -> None:
-    # default comparison is 4 -> 16 cpus: this sandbox's 32 "cpus" are 16
-    # physical cores x 2-way SMT (pure-userspace probes inflate ~1.9x at
-    # 32-way), so 8 -> 32 has a hardware efficiency ceiling near 0.55;
-    # 4 -> 16 measures genuine 4x core scaling.  Override with env.
-    lo = lo or int(os.environ.get("FSRAY_SCALING_LO", "4"))
-    hi = hi or int(os.environ.get("FSRAY_SCALING_HI", "16"))
-    if pairs is None:
-        pairs = int(os.environ.get("FSRAY_SCALING_PAIRS", "2"))
-    if pairs > 0:
-        return run_scaling_pairs(lo, hi, pairs)
-    global PAGES_ROWS
-    PAGES_ROWS = int(os.environ.get("FSRAY_SCALING_PAGES", "800000"))
-    os.environ["FSRAY_BENCH_PAGES"] = str(PAGES_ROWS)  # workers inherit
-    workdir = tempfile.mkdtemp(prefix="fsray_scaling_")
-    results = {}
-    try:
-        for n in (lo, hi):
-            results[n] = _run_leg(n, workdir)
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-    ratio = hi / lo
-    build_eff = (
-        results[hi]["docs_per_sec"] / results[lo]["docs_per_sec"]
-    ) / ratio
-    query_eff = (
-        results[hi]["queries_per_sec"] / results[lo]["queries_per_sec"]
-    ) / ratio
-    out = {
-        "metric": f"scaling efficiency {lo}->{hi} cpus (build docs/s)",
-        "value": round(build_eff, 4),
-        "unit": "efficiency",
-        "queries": {
-            f"build_sec_cpus{lo}": round(results[lo]["build_sec"], 3),
-            f"build_sec_cpus{hi}": round(results[hi]["build_sec"], 3),
-            f"docs_per_sec_cpus{lo}": round(results[lo]["docs_per_sec"], 1),
-            f"docs_per_sec_cpus{hi}": round(results[hi]["docs_per_sec"], 1),
-            f"queries_per_sec_cpus{lo}": round(
-                results[lo]["queries_per_sec"], 1
-            ),
-            f"queries_per_sec_cpus{hi}": round(
-                results[hi]["queries_per_sec"], 1
-            ),
-        },
-        "sf": f"pages:{PAGES_ROWS}",
-        "num_cpus": hi,
-        "scaling": {
-            "lo_cpus": lo,
-            "hi_cpus": hi,
-            "build_docs_per_sec": {
-                str(lo): results[lo]["docs_per_sec"],
-                str(hi): results[hi]["docs_per_sec"],
-            },
-            "build_efficiency": round(build_eff, 4),
-            "query_efficiency": round(query_eff, 4),
-        },
-    }
-    print(json.dumps(out))
+def _pairs_arg(v: str) -> int:
+    n = int(v)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"--pairs must be at least 1, got {n}")
+    return n
 
 
 def main() -> None:
@@ -451,12 +374,11 @@ def main() -> None:
     ap.add_argument("--scaling", action="store_true")
     ap.add_argument(
         "--pairs",
-        type=int,
-        default=None,
-        help="with --scaling: run N interleaved (lo,hi) single-trial pairs "
-        "and report the median efficiency (cancels slow host drift); "
-        "default 2 (env FSRAY_SCALING_PAIRS); 0 = legacy two-window "
-        "best-of-N protocol",
+        type=_pairs_arg,
+        default=os.environ.get("FSRAY_SCALING_PAIRS", "2"),
+        help="with --scaling: run N >= 1 interleaved (lo,hi) single-trial "
+        "pairs and report the median efficiency (cancels slow host "
+        "drift); default 2 (env FSRAY_SCALING_PAIRS)",
     )
     ap.add_argument("--_worker", type=int, default=None, help=argparse.SUPPRESS)
     ap.add_argument("workdir", nargs="?", default=None)
@@ -464,7 +386,15 @@ def main() -> None:
     if args._worker is not None:
         run_worker(args._worker, args.workdir or tempfile.mkdtemp())
     elif args.scaling:
-        run_scaling(pairs=args.pairs)
+        # default comparison is 4 -> 16 cpus: on a 32-vCPU host of 16
+        # physical cores x 2-way SMT (pure-userspace probes inflate ~1.9x
+        # at 32-way), 8 -> 32 has a hardware efficiency ceiling near
+        # 0.55; 4 -> 16 measures genuine 4x core scaling.
+        run_scaling(
+            int(os.environ.get("FSRAY_SCALING_LO", "4")),
+            int(os.environ.get("FSRAY_SCALING_HI", "16")),
+            args.pairs,
+        )
     else:
         run_default()
 

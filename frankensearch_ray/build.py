@@ -25,13 +25,9 @@ filesystem — the classic external-shuffle layout with row groups
 standing in for per-(map, reduce) files, so file count stays at
 n_partitions — because the exchanged rows are already checkpoints we
 must persist for resume anyway; routing them into shard row groups at
-write time costs one local sort and ZERO extra passes, while a
-`groupby("shard")` sort-shuffle of the same rows pays object store
-materialization plus a global sort whose fixed overhead dominates at
-bench scale.  ``BuildConfig.shuffle_mode="groupby"`` keeps the
-Ray-Data-native `groupby(shard).map_groups(encode)` exchange
-(rank/score-identical output, differential-tested) as the alternative
-exchange.
+write time costs one local sort and ZERO extra passes.  It is the
+build's only exchange, and the one the resume invariant rests on: a
+resumed build feeds phase B the same checkpoint bytes as a clean one.
 
 Resume: a partition whose stats done-marker exists (written last) is
 skipped; retries are safe because every stage is deterministic per
@@ -60,11 +56,29 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .stages.encode import encode_shard_table, write_shard
+from .stages.encode import encode_shard_table
 from .stages.shard import assign_shards
 from .stages.tokenize import df_partials, tokenize_partition
 
 MANIFEST_NAME = "manifest.json"
+# on-disk format of the manifest and the files it names; an index
+# written under another version is refused at open (IndexFormatError)
+FORMAT_VERSION = 3
+
+
+class IndexFormatError(Exception):
+    """The index at ``index_dir`` was written in an on-disk format this
+    engine does not read (an older build's); the remedy is a rebuild."""
+
+    def __init__(self, index_dir: str, found, expected: int = FORMAT_VERSION):
+        self.index_dir = index_dir
+        self.found = found
+        self.expected = expected
+        super().__init__(
+            f"index {index_dir} has format_version {found}, this engine "
+            f"reads format_version {expected}; rebuild the index from its "
+            "sources (build_index(..., resume=False))"
+        )
 
 
 @dataclass
@@ -77,10 +91,7 @@ class BuildConfig:
     salt_threshold: int = 50_000  # global df above which a term is salted
     salt_buckets: int = 32
     target_partition_rows: int = 250_000
-    shuffle_mode: str = "fs"  # "fs" (map-side hash partition) | "groupby"
     numeric_cols: list[str] = field(default_factory=list)  # i64 fast fields
-    salt_sample_parts: int = 0  # 0 = auto (all when small, sqrt-ish else)
-    input_columns: list[str] = field(default_factory=list)
     # "pages" (default 5-field) | "cass" (15-field) | "fsfs" (8-field chunk)
     schema_kind: str = "pages"
     stored_cols: list[str] = field(default_factory=list)  # STOREDMETA json
@@ -103,8 +114,6 @@ class BuildConfig:
             raise ValueError("id_col must be set")
         if self.schema_kind not in ("pages", "cass", "fsfs"):
             raise ValueError(f"unknown schema_kind {self.schema_kind!r}")
-        if self.shuffle_mode not in ("fs", "groupby"):
-            raise ValueError(f"unknown shuffle_mode {self.shuffle_mode!r}")
         if self.schema_kind == "pages" and not (self.html_col or self.content_col):
             raise ValueError("one of html_col / content_col must be set")
 
@@ -408,15 +417,11 @@ def _sample_salted(parts: list[dict], cfg: BuildConfig) -> list[tuple[int, str]]
     extrapolated estimate otherwise.  Salting is perf-only either way.
     """
     import ray
-    import ray.data as rd
 
     n_parts = len(parts)
     if n_parts == 0:
         return []
-    k = cfg.salt_sample_parts
-    if k <= 0:
-        k = n_parts if n_parts <= 16 else max(8, int(math.isqrt(n_parts)))
-    k = min(k, n_parts)
+    k = n_parts if n_parts <= 16 else max(8, int(math.isqrt(n_parts)))
     stride = n_parts / k
     sample = [parts[min(n_parts - 1, int(i * stride))] for i in range(k)]
     sample_rows = sum(min(p["rows"], SALT_SAMPLE_ROWS_PER_PART) for p in sample)
@@ -451,10 +456,8 @@ def _sample_salted(parts: list[dict], cfg: BuildConfig) -> list[tuple[int, str]]
 class PhaseATokenizer:
     """Stateless per-partition tokenize-route-and-checkpoint task body.
 
-    In fs shuffle mode each partition's postings are written pre-split by
-    destination shard (map-side hash partition); in groupby mode a single
-    postings file is written and the exchange happens in Ray's shuffle.
-    """
+    Each partition's postings are written pre-split by destination shard
+    (the map side of the build's hash-partition exchange)."""
 
     def __init__(self, index_dir: str, cfg: BuildConfig, salted_ref=None, ppb: int = 1):
         self.index_dir = index_dir
@@ -503,6 +506,9 @@ class PhaseATokenizer:
             repr(sorted(self._salted_set())).encode(), digest_size=16
         ).hexdigest()
         return {
+            # an older format's checkpoints differ in content (the idmap's
+            # upsert-identity hash), so they must never be reused
+            "format_version": FORMAT_VERSION,
             "layout": "ksorted-v2",  # shard row groups are key-sorted
             "num_shards": cfg.num_shards,
             "ppb": self.ppb,
@@ -530,13 +536,12 @@ class PhaseATokenizer:
         fingerprint = self._fingerprint(part)
         if os.path.exists(paths["stats"]):
             # stats json is the done-marker, written after all artifacts;
-            # a marker from a different shuffle layout, routing config or
-            # source row range forces a rebuild of this partition
+            # a marker from a different format, routing config or source
+            # row range forces a rebuild of this partition
             with open(paths["stats"]) as f:
                 stats = json.load(f)
             if (
-                stats.get("mode") == cfg.shuffle_mode
-                and stats.get("fingerprint") == fingerprint
+                stats.get("fingerprint") == fingerprint
                 and stats.get("files")
                 and all(
                     os.path.exists(os.path.join(self.index_dir, rel))
@@ -546,17 +551,7 @@ class PhaseATokenizer:
                 return self._summary(stats)
 
         _test_fail("phase_a", part["pindex"])
-        # deterministic rebuild of this partition (also the retry path);
-        # clear BOTH layout variants so a mode switch can't leave stale
-        # postings behind for the other mode's reader to pick up
-        import shutil
-
-        shutil.rmtree(paths["postings"], ignore_errors=True)
-        for stale in (paths["postings"] + ".parquet",
-                      os.path.join(self.index_dir, "df",
-                                   f"part-{part['pindex']:05d}.parquet")):
-            if os.path.exists(stale):
-                os.remove(stale)
+        # deterministic rebuild of this partition (also the retry path)
         result = cfg.run_tokenizer(
             _read_part(part, cfg), part["pindex"], analyzer=self._analyzer
         )
@@ -565,71 +560,60 @@ class PhaseATokenizer:
         def rel(p: str) -> str:
             return os.path.relpath(p, self.index_dir)
 
-        if cfg.shuffle_mode == "fs":
-            routed = assign_shards(
-                result["postings"],
-                num_shards=cfg.num_shards,
-                salted=self._salted_set(),
-                partitions_per_bucket=self.ppb,
+        routed = assign_shards(
+            result["postings"],
+            num_shards=cfg.num_shards,
+            salted=self._salted_set(),
+            partitions_per_bucket=self.ppb,
+        )
+        # KEY-SORTED within each shard row group: phase B k-way-merges
+        # the per-partition streams without materializing a shard, so
+        # every stream must already be (field, term, bucket, docid)-
+        # ordered.  This moves the sort to the map side (partition-
+        # sized sorts) — the reduce side only merges.  Strings are
+        # sorted ONCE as a dictionary; rows lexsort on integer ranks.
+        de = pc.dictionary_encode(routed["term"].combine_chunks())
+        codes = de.indices.to_numpy()
+        rank_of = np.empty(len(de.dictionary), dtype=np.int64)
+        rank_of[
+            pc.array_sort_indices(de.dictionary).to_numpy()
+        ] = np.arange(len(de.dictionary))
+        order = np.lexsort(
+            (
+                routed["docid"].to_numpy(),
+                routed["bucket"].to_numpy(),
+                rank_of[codes],
+                routed["field"].to_numpy(),
+                routed["shard"].to_numpy(),
             )
-            # KEY-SORTED within each shard row group: phase B k-way-merges
-            # the per-partition streams without materializing a shard, so
-            # every stream must already be (field, term, bucket, docid)-
-            # ordered.  This moves the sort to the map side (partition-
-            # sized sorts) — the reduce side only merges.  Strings are
-            # sorted ONCE as a dictionary; rows lexsort on integer ranks.
-            de = pc.dictionary_encode(routed["term"].combine_chunks())
-            codes = de.indices.to_numpy()
-            rank_of = np.empty(len(de.dictionary), dtype=np.int64)
-            rank_of[
-                pc.array_sort_indices(de.dictionary).to_numpy()
-            ] = np.arange(len(de.dictionary))
-            order = np.lexsort(
-                (
-                    routed["docid"].to_numpy(),
-                    routed["bucket"].to_numpy(),
-                    rank_of[codes],
-                    routed["field"].to_numpy(),
-                    routed["shard"].to_numpy(),
+        )
+        routed = routed.take(pa.array(order))
+        # ONE file per partition, ONE row group per destination shard:
+        # the row-group footer stats of the `shard` column ARE the
+        # exchange's partition index (map-side hash partition without
+        # a per-(partition, shard) file explosion)
+        path = paths["postings"] + ".parquet"
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tmp = path + ".tmp"
+        writer = pq.ParquetWriter(tmp, routed.schema, compression="zstd")
+        if len(routed):
+            shard_np = routed["shard"].to_numpy()
+            bounds = np.flatnonzero(
+                np.concatenate(([True], shard_np[1:] != shard_np[:-1]))
+            )
+            ends = np.concatenate((bounds[1:], [len(shard_np)]))
+            for s_i, e_i in zip(bounds, ends):
+                writer.write_table(
+                    routed.slice(s_i, e_i - s_i), row_group_size=int(e_i - s_i)
                 )
-            )
-            routed = routed.take(pa.array(order))
-            # ONE file per partition, ONE row group per destination shard:
-            # the row-group footer stats of the `shard` column ARE the
-            # exchange's partition index (map-side hash partition without
-            # a per-(partition, shard) file explosion)
-            path = paths["postings"] + ".parquet"
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = path + ".tmp"
-            writer = pq.ParquetWriter(tmp, routed.schema, compression="zstd")
-            if len(routed):
-                shard_np = routed["shard"].to_numpy()
-                bounds = np.flatnonzero(
-                    np.concatenate(([True], shard_np[1:] != shard_np[:-1]))
-                )
-                ends = np.concatenate((bounds[1:], [len(shard_np)]))
-                for s_i, e_i in zip(bounds, ends):
-                    writer.write_table(
-                        routed.slice(s_i, e_i - s_i), row_group_size=int(e_i - s_i)
-                    )
-            # zero postings (every doc extracted/tokenized to empty text)
-            # leave a footer-only file — NO row groups, so phase B reads
-            # nothing and shard_stat_of never sees a statless 0-row group
-            writer.close()
-            os.replace(tmp, path)
-            files.append(rel(path))
-            # torn-partition point: postings on disk, no done-marker yet
-            _test_fail("phase_a_mid", part["pindex"])
-        else:
-            path = paths["postings"] + ".parquet"
-            _atomic_write_table(result["postings"], path, compression="zstd")
-            files.append(rel(path))
-            dfp = df_partials(result["postings"], part["pindex"])
-            df_path = os.path.join(
-                self.index_dir, "df", f"part-{part['pindex']:05d}.parquet"
-            )
-            _atomic_write_table(dfp, df_path)
-            files.append(rel(df_path))
+        # zero postings (every doc extracted/tokenized to empty text)
+        # leave a footer-only file — NO row groups, so phase B reads
+        # nothing and shard_stat_of never sees a statless 0-row group
+        writer.close()
+        os.replace(tmp, path)
+        files.append(rel(path))
+        # torn-partition point: postings on disk, no done-marker yet
+        _test_fail("phase_a_mid", part["pindex"])
 
         _atomic_write_table(result["doclen"], paths["doclen"])
         _atomic_write_table(result["idmap"], paths["idmap"])
@@ -653,7 +637,6 @@ class PhaseATokenizer:
             files.append(rel(stored_path))
         stats = dict(result["stats"])
         stats["files"] = files
-        stats["mode"] = cfg.shuffle_mode
         stats["fingerprint"] = fingerprint
         _atomic_write_json(stats, paths["stats"])  # done-marker, last
         return self._summary(stats)
@@ -784,7 +767,7 @@ def _merge_encode_streams(streams: list, writer) -> None:
 
 
 class _EncodeShardFS:
-    """Reduce-side task body (fs mode): STREAM one shard from its files.
+    """Reduce-side task body: STREAM one shard from its files.
 
     Each partition contributes one key-sorted row group per shard (the
     phase-A map-side partition); this task merges those streams with a
@@ -811,10 +794,9 @@ class _EncodeShardFS:
 
         _test_fail("phase_b", shard_id)
 
-        post_root = os.path.join(self.index_dir, "postings")
         sources: list[tuple[pq.ParquetFile, list[int], list[str]]] = []
         for p in range(self.n_parts):
-            path = os.path.join(post_root, f"part-{p:05d}.parquet")
+            path = _part_paths(self.index_dir, p)["postings"] + ".parquet"
             if not os.path.exists(path):
                 continue
             pf = pq.ParquetFile(path)
@@ -846,69 +828,6 @@ class _EncodeShardFS:
         )
 
 
-def _empty_postings_table() -> pa.Table:
-    from .stages.tokenize import POSTINGS_SCHEMA
-
-    return POSTINGS_SCHEMA.empty_table().append_column(
-        "bucket", pa.array([], pa.uint32())
-    )
-
-
-def _compute_salted_exact(df_ds, salt_threshold: int, n_parts: int) -> list[tuple[int, str]]:
-    """Exact global head-term set from per-partition df partials.
-
-    Two driver-side passes over the (materialized, tiny) partials — no
-    distributed groupby:  pass 1 collects pigeonhole candidates (local df
-    >= ceil(T / n_parts) somewhere); pass 2 sums exact global df for the
-    candidates only.
-    """
-    cut = max(1, -(-salt_threshold // max(1, n_parts)))  # ceil
-    cand_rows = df_ds.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["df"], cut)),
-        batch_format="pyarrow",
-    ).take_all()
-    candidates = {(int(r["field"]), str(r["term"])) for r in cand_rows}
-    if not candidates:
-        return []
-    cand_terms = pa.array(sorted({t for _f, t in candidates}))
-
-    def _filter(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(t["term"], value_set=cand_terms))
-
-    rows = df_ds.map_batches(_filter, batch_format="pyarrow").take_all()
-    agg: dict[tuple[int, str], int] = {}
-    for r in rows:
-        key = (int(r["field"]), str(r["term"]))
-        if key in candidates:
-            agg[key] = agg.get(key, 0) + int(r["df"])
-    return sorted(k for k, v in agg.items() if v >= salt_threshold)
-
-
-class _ShardAssigner:
-    def __init__(self, num_shards, salted_ref, partitions_per_bucket):
-        self.num_shards = num_shards
-        self.salted_ref = salted_ref
-        self.ppb = partitions_per_bucket
-        self._salted = None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import ray
-
-        if self._salted is None:
-            salted = (
-                ray.get(self.salted_ref)
-                if not isinstance(self.salted_ref, (set, list))
-                else self.salted_ref
-            )
-            self._salted = {(int(f), t) for f, t in salted}
-        return assign_shards(
-            batch,
-            num_shards=self.num_shards,
-            salted=self._salted,
-            partitions_per_bucket=self.ppb,
-        )
-
-
 _SHARD_SUMMARY_SCHEMA = pa.schema(
     [
         ("index", pa.int64()),
@@ -920,18 +839,6 @@ _SHARD_SUMMARY_SCHEMA = pa.schema(
         ("keys_file", pa.string()),
     ]
 )
-
-
-def _encode_shard_group(group: pa.Table, shards_dir: str) -> pa.Table:
-    if len(group) == 0:
-        return _SHARD_SUMMARY_SCHEMA.empty_table()
-    shard_id = int(group["shard"][0].as_py())
-    encoded = encode_shard_table(group)
-    row = write_shard(encoded, shards_dir, shard_id)
-    return pa.table(
-        {k: [row[k]] for k in _SHARD_SUMMARY_SCHEMA.names},
-        schema=_SHARD_SUMMARY_SCHEMA,
-    )
 
 
 def build_index(
@@ -951,112 +858,55 @@ def build_index(
     cfg.validate()
     t0 = time.time()
     os.makedirs(index_dir, exist_ok=True)
+    prior = None
     if resume:
-        mpath = os.path.join(index_dir, MANIFEST_NAME)
-        if os.path.exists(mpath):
-            try:
-                with open(mpath) as f:
-                    prior_mode = json.load(f).get("config", {}).get("shuffle_mode")
-                if prior_mode is not None and prior_mode != cfg.shuffle_mode:
-                    resume = False  # layout switch: rebuild from scratch
-            except (json.JSONDecodeError, OSError):
-                resume = False
+        try:
+            prior = load_manifest(index_dir)
+        except FileNotFoundError:
+            pass  # never published: checkpoint fingerprints decide reuse
+        except (OSError, ValueError, IndexFormatError):
+            resume = False  # unreadable or older-format index: clean rebuild
     if not resume:
         import shutil
 
-        for sub in ("postings", "doclen", "idmap", "idhash", "df", "stats", "shards", "numeric", "stored"):
+        for sub in ("postings", "doclen", "idmap", "idhash", "stats", "shards", "numeric", "stored"):
             shutil.rmtree(os.path.join(index_dir, sub), ignore_errors=True)
 
     parts = plan_partitions(paths, cfg.target_partition_rows)
     n_parts = len(parts)
     ppb = max(1, -(-n_parts // cfg.salt_buckets))  # ceil
 
-    prior_salted: list | None = None
-    if resume:
-        mpath = os.path.join(index_dir, MANIFEST_NAME)
-        if os.path.exists(mpath):
-            try:
-                with open(mpath) as f:
-                    prior = json.load(f)
-                if prior.get("config", {}).get("shuffle_mode", "fs") == cfg.shuffle_mode:
-                    prior_salted = [
-                        (int(f), t) for f, t in prior["salt"]["salted_terms"]
-                    ]
-            except (json.JSONDecodeError, OSError, KeyError):
-                pass
-
-    if cfg.shuffle_mode == "fs":
-        # salted set BEFORE phase A: routing is baked into the checkpoint
-        # files, so resume must reuse the persisted set
-        salted = (
-            prior_salted
-            if prior_salted is not None
-            else _sample_salted(parts, cfg)
-        )
-        t_salt = time.time()
-        salted_ref = ray.put(salted)
-        part_summaries = (
-            rd.from_items(parts)
-            .map_batches(
-                PhaseATokenizer(index_dir, cfg, salted_ref, ppb),
-                batch_size=1,
-                batch_format="pyarrow",
-            )
-            .take_all()
-        )
-        t_phase_a = time.time()
-        # idhash base concat is independent of shard encode: launch it
-        # now and gather at manifest time — overlapped, zero critical path
-        from .state import idhash as idh
-
-        idh_refs, idh_meta = idh.launch_base(
-            index_dir, [p["pindex"] for p in parts]
-        )
-        shard_rows = (
-            rd.from_items([{"shard": s} for s in range(cfg.num_shards)])
-            .map_batches(
-                _EncodeShardFS(index_dir, n_parts),
-                batch_size=1,
-                batch_format="pyarrow",
-            )
-            .take_all()
-        )
-        t_phase_b = time.time()
+    # salted set BEFORE phase A: routing is baked into the checkpoint
+    # files, so resume must reuse the persisted set
+    if prior is not None:
+        salted = [(int(f), t) for f, t in prior["salt"]["salted_terms"]]
     else:
-        df_ds = rd.from_items(parts).map_batches(
-            PhaseATokenizer(index_dir, cfg),
+        salted = _sample_salted(parts, cfg)
+    t_salt = time.time()
+    salted_ref = ray.put(salted)
+    rd.from_items(parts).map_batches(
+        PhaseATokenizer(index_dir, cfg, salted_ref, ppb),
+        batch_size=1,
+        batch_format="pyarrow",
+    ).take_all()
+    t_phase_a = time.time()
+    # idhash base concat is independent of shard encode: launch it
+    # now and gather at manifest time — overlapped, zero critical path
+    from .state import idhash as idh
+
+    idh_refs, idh_meta = idh.launch_base(
+        index_dir, [p["pindex"] for p in parts]
+    )
+    shard_rows = (
+        rd.from_items([{"shard": s} for s in range(cfg.num_shards)])
+        .map_batches(
+            _EncodeShardFS(index_dir, n_parts),
             batch_size=1,
             batch_format="pyarrow",
         )
-        df_ds.take_all()  # drive phase A to completion (checkpoints on disk)
-        dfp = rd.read_parquet(os.path.join(index_dir, "df")).materialize()
-        salted = (
-            prior_salted
-            if prior_salted is not None
-            else _compute_salted_exact(dfp, cfg.salt_threshold, n_parts)
-        )
-        t_salt = t_phase_a = time.time()
-
-        salted_ref = ray.put(salted)
-        posts = rd.read_parquet(os.path.join(index_dir, "postings"))
-        posts = posts.map_batches(
-            _ShardAssigner(cfg.num_shards, salted_ref, ppb),
-            batch_format="pyarrow",
-        )
-        from functools import partial
-
-        shard_rows = (
-            posts.groupby("shard")
-            .map_groups(
-                partial(
-                    _encode_shard_group,
-                    shards_dir=os.path.join(index_dir, "shards"),
-                ),
-                batch_format="pyarrow",
-            )
-            .take_all()
-        )
-        t_phase_b = time.time()
+        .take_all()
+    )
+    t_phase_b = time.time()
 
     # stats rollup from the per-partition stats jsons — chunked Ray tasks
     # above ROLLUP_CHUNK partitions so the driver never does O(partitions)
@@ -1080,12 +930,7 @@ def build_index(
             }
         )
 
-    from .state import idhash as idh
-
-    if cfg.shuffle_mode == "fs":
-        idhash_meta = idh.collect_base(idh_refs, idh_meta)
-    else:
-        idhash_meta = idh.build_base(index_dir, [p["pindex"] for p in parts])
+    idhash_meta = idh.collect_base(idh_refs, idh_meta)
 
     n_docs = field_stats["content"]["doc_count"]
     elapsed = time.time() - t0
@@ -1094,7 +939,7 @@ def build_index(
         key=lambda r: r["index"],
     )
     manifest = {
-        "format_version": 2,
+        "format_version": FORMAT_VERSION,
         "engine": "frankensearch-ray",
         "config": asdict(cfg),
         "num_shards": cfg.num_shards,
@@ -1161,23 +1006,36 @@ def publish_manifest(index_dir: str, manifest: dict) -> None:
 
 def load_manifest(index_dir: str) -> dict:
     """Crash-only open: fall back to the previous slot on a torn/corrupt
-    current manifest (``PLAN.md:450-452``).  A manifest carrying a
-    ``_checksum`` must verify; legacy manifests without one load as-is."""
+    current manifest (``PLAN.md:450-452``).  Every manifest carries a
+    ``_checksum`` that must verify.  The slot that loads must be of
+    :data:`FORMAT_VERSION`; an older index raises :class:`IndexFormatError`
+    rather than being treated as torn."""
     path = Path(index_dir) / MANIFEST_NAME
 
     def _read(p) -> dict:
         with open(p) as f:
             m = json.load(f)
-        ck = m.get("_checksum")
-        if ck is not None and ck != _manifest_checksum(m):
-            raise ValueError(f"manifest checksum mismatch at {p}")
+        if m.get("_checksum") != _manifest_checksum(m):
+            raise ValueError(f"manifest checksum missing or mismatched at {p}")
         return m
 
     try:
-        return _read(path)
-    except (json.JSONDecodeError, OSError, ValueError) as primary_err:
+        m = _read(path)
+    except (OSError, ValueError) as primary_err:
         try:
-            return _read(str(path) + ".prev")
+            m = _read(str(path) + ".prev")
         except FileNotFoundError:
             # no fallback slot: surface the real failure, not the miss
             raise primary_err
+    if m.get("format_version") != FORMAT_VERSION:
+        raise IndexFormatError(str(index_dir), m.get("format_version"))
+    return m
+
+
+def cached_manifest(index_dir: str) -> dict:
+    """The manifest of a cached index a pipeline may reuse, or ``{}`` when
+    it is missing, unreadable or of an older format (rebuild it)."""
+    try:
+        return load_manifest(index_dir)
+    except (OSError, ValueError, IndexFormatError):
+        return {}

@@ -22,6 +22,8 @@ config) make a changed config rebuild instead of silently mixing layouts.
 Output is one JSON line per command: build emits the manifest metrics
 (docs/s, postings/s, per-shard compressed bytes, phase timings, lineage
 partition count); search emits per-query hits + workload throughput.
+A failing command ends with one JSON ``error`` line on stderr instead:
+an index of an older on-disk format exits 2, a rejected append batch 1.
 """
 
 from __future__ import annotations
@@ -34,6 +36,17 @@ import time
 
 # sentinel distinguishing "user typed --html-col html" from the default
 _HTML_COL_DEFAULT = object()
+# consecutive polls a watched file may fail to read at one mtime before
+# `watch` gives it up and reports it under ``unreadable_files``
+WATCH_UNREADABLE_POLLS = 10
+
+
+def _error(command: str, message: str, **extra) -> None:
+    """The one JSON line a failing command ends with (on stderr)."""
+    print(
+        json.dumps({"command": command, "error": message, **extra}),
+        file=sys.stderr,
+    )
 
 
 def _ensure_ray():
@@ -51,7 +64,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         hits = sorted(glob.glob(pat))
         paths.extend(hits if hits else [pat])
     if not paths:
-        print(json.dumps({"error": "no source files matched"}), file=sys.stderr)
+        _error("build", "no source files matched")
         return 2
     none_if_empty = lambda v: v or None  # "" on the CLI means "not present"
     # default html_col: "html" for an HTML corpus, but None when
@@ -111,7 +124,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         with open(args.queries) as f:
             qs = [ln.strip() for ln in f if ln.strip()]
     if not qs:
-        print(json.dumps({"error": "no queries"}), file=sys.stderr)
+        _error("search", "no queries")
         return 2
 
     if args.replicas > 1:
@@ -169,7 +182,7 @@ def _cmd_append(args: argparse.Namespace) -> int:
         hits = sorted(glob.glob(pat))
         paths.extend(hits if hits else [pat])
     if not paths:
-        print(json.dumps({"error": "no source files matched"}), file=sys.stderr)
+        _error("append", "no source files matched")
         return 2
     _ensure_ray()
     t0 = time.time()
@@ -183,17 +196,10 @@ def _cmd_append(args: argparse.Namespace) -> int:
                 t = t.set_column(
                     idx, args.id_col, pc.cast(t[args.id_col], pa.string())
                 )
-            if args.upsert:
-                mt.upsert_table(args.index_dir, t)
-                appended += t.num_rows
-                batches += 1
-                continue
-            if args.skip_live:
-                from .state.maintenance import _probe_ids, load_manifest
-
-                live = _probe_ids(
+            if args.skip_live and not args.upsert:
+                live = mt._probe_ids(
                     args.index_dir,
-                    load_manifest(args.index_dir),
+                    mt.load_manifest(args.index_dir),
                     t[args.id_col].to_pylist(),
                 )
                 if live:
@@ -207,7 +213,24 @@ def _cmd_append(args: argparse.Namespace) -> int:
                     t = t.filter(keep)
             if t.num_rows == 0:
                 continue
-            mt.append_table(args.index_dir, t, source_name=path)
+            try:
+                if args.upsert:
+                    mt.upsert_table(args.index_dir, t)
+                else:
+                    mt.append_table(args.index_dir, t, source_name=path)
+            except ValueError as e:
+                # a rejected batch (duplicate or already-live ids): report
+                # what was applied before it, so a fixed re-submit with
+                # --skip-live resumes where this run stopped
+                _error(
+                    "append",
+                    str(e),
+                    index_dir=args.index_dir,
+                    source=path,
+                    batches_applied=batches,
+                    docs_applied=appended,
+                )
+                return 1
             appended += t.num_rows
             batches += 1
     el = time.time() - t0
@@ -285,6 +308,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     )
     id_col = runner._cfg_id_col()
     seen: dict[str, float] = {}
+    failures: dict[tuple[str, float], int] = {}
+    unreadable: set[str] = set()
     deadline = (
         time.time() + args.max_seconds if args.max_seconds else None
     )
@@ -301,10 +326,18 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             try:
                 t = pq.read_table(path)
             except Exception:
-                # a producer is still writing this file (torn footer):
-                # leave it UNMARKED so the next poll retries once the
-                # write completes and the mtime settles
+                # a producer may still be writing this file (torn footer):
+                # leave it UNMARKED so the next poll retries, and give up
+                # on this mtime only after WATCH_UNREADABLE_POLLS failed
+                # polls in a row; a rewrite (new mtime) is read afresh
+                n = failures.get((path, mtime), 0) + 1
+                failures[(path, mtime)] = n
+                if n >= WATCH_UNREADABLE_POLLS:
+                    seen[path] = mtime
+                    unreadable.add(path)
                 continue
+            failures.pop((path, mtime), None)
+            unreadable.discard(path)
             seen[path] = mtime
             idx = t.schema.get_field_index(id_col)
             if idx >= 0 and not pa.types.is_string(t.schema.field(idx).type):
@@ -317,6 +350,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     runner.drain()  # flush whatever is still pending on exit
     out = {"command": "watch", "index_dir": args.index_dir}
     out.update(runner.summary())
+    out["unreadable_files"] = sorted(unreadable)
     print(json.dumps(out))
     return 0
 
@@ -454,8 +488,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .build import IndexFormatError
+
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except IndexFormatError as e:
+        _error(
+            args.command,
+            str(e),
+            index_dir=e.index_dir,
+            format_version=e.found,
+            expected_format_version=e.expected,
+        )
+        return 2
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ the engine term-for-term.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -109,20 +108,14 @@ def derive_cass_source(sf_dir: str) -> str:
 
 def cass_index(sf_dir: str) -> str:
     """Build (or reuse) the CASS-schema index over the derived corpus."""
-    from ..build import BuildConfig, build_index, publish_manifest
+    from ..build import BuildConfig, build_index, cached_manifest, publish_manifest
 
     src = derive_cass_source(sf_dir)
     tag = Path(sf_dir).name or "sf"
     index_dir = os.path.join(CACHE_ROOT, tag, "cass_idx")
-    manifest_path = os.path.join(index_dir, "manifest.json")
-    if os.path.exists(manifest_path):
-        try:
-            with open(manifest_path) as f:
-                m = json.load(f)
-            if m.get("source_mtime") == os.path.getmtime(src):
-                return index_dir
-        except (json.JSONDecodeError, OSError):
-            pass
+    m = cached_manifest(index_dir)
+    if m.get("source_mtime") == os.path.getmtime(src):
+        return index_dir
     cfg = BuildConfig(
         id_col="id",
         content_col=None,

@@ -25,7 +25,6 @@ the oracle recomputes it in f64 and compares (chunk_id, rank).
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -88,20 +87,14 @@ def derive_chunk_source(sf_dir: str) -> str:
 
 def chunk_index(sf_dir: str) -> str:
     """Build (or reuse) the FSFS chunk-schema index over the derivation."""
-    from ..build import BuildConfig, build_index, publish_manifest
+    from ..build import BuildConfig, build_index, cached_manifest, publish_manifest
 
     src = derive_chunk_source(sf_dir)
     tag = Path(sf_dir).name or "sf"
     index_dir = os.path.join(CACHE_ROOT, tag, "fsfs_idx")
-    manifest_path = os.path.join(index_dir, "manifest.json")
-    if os.path.exists(manifest_path):
-        try:
-            with open(manifest_path) as f:
-                m = json.load(f)
-            if m.get("source_mtime") == os.path.getmtime(src):
-                return index_dir
-        except (json.JSONDecodeError, OSError):
-            pass
+    m = cached_manifest(index_dir)
+    if m.get("source_mtime") == os.path.getmtime(src):
+        return index_dir
     cfg = BuildConfig(
         id_col="id",
         content_col=None,

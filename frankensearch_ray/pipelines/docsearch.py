@@ -11,7 +11,6 @@ pipeline and cached under ``/tmp/fsray_entry``.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..build import BuildConfig, build_index, publish_manifest
+from ..build import BuildConfig, build_index, cached_manifest, publish_manifest
 from ..contract.query_ast import (
     MUST,
     MUST_NOT,
@@ -43,7 +42,6 @@ def documents_index(sf_dir: str) -> str:
     src = os.path.join(sf_dir, "documents.parquet")
     tag = Path(sf_dir).name or "sf"
     index_dir = os.path.join(CACHE_ROOT, tag, "documents_idx")
-    manifest_path = os.path.join(index_dir, "manifest.json")
     cfg = BuildConfig(
         id_col="doc_id",
         content_col="text",
@@ -55,16 +53,12 @@ def documents_index(sf_dir: str) -> str:
         target_partition_rows=2_000,
         numeric_cols=["n_chars"],
     )
-    if os.path.exists(manifest_path):
-        try:
-            with open(manifest_path) as f:
-                m = json.load(f)
-            if m.get("source_mtime") == os.path.getmtime(src) and m.get(
-                "config", {}
-            ).get("numeric_cols") == cfg.numeric_cols:
-                return index_dir
-        except (json.JSONDecodeError, OSError):
-            pass
+    m = cached_manifest(index_dir)
+    if (
+        m.get("source_mtime") == os.path.getmtime(src)
+        and m.get("config", {}).get("numeric_cols") == cfg.numeric_cols
+    ):
+        return index_dir
     manifest = build_index([src], index_dir, cfg, resume=False)
     manifest["source_mtime"] = os.path.getmtime(src)
     # republish (never raw-write): the manifest is self-checksummed, so a
@@ -109,17 +103,10 @@ def term_df(
 
     index_dir = documents_index(sf_dir)
     from ..build import load_manifest
-    from ..stages.encode import shard_file_names
 
     manifest = load_manifest(index_dir)
     shard_files = sorted(
-        os.path.join(
-            index_dir,
-            "shards",
-            e.get("file")
-            or shard_file_names(int(e["index"]), int(e.get("generation", 0) or 0))[0],
-        )
-        for e in manifest["shards"]
+        os.path.join(index_dir, "shards", e["file"]) for e in manifest["shards"]
     )
     ds = rd.read_parquet(shard_files, columns=["field", "term", "df"])
     def _min_df_cut(t: pa.Table) -> pa.Table:
@@ -534,19 +521,12 @@ def index_stats(sf_dir: str) -> pa.Table:
     import ray.data as rd
 
     from ..build import load_manifest
-    from ..stages.encode import shard_file_names
 
     s = searcher_for(sf_dir)
     index_dir = documents_index(sf_dir)
     manifest = load_manifest(index_dir)
     shard_files = sorted(
-        os.path.join(
-            index_dir,
-            "shards",
-            e.get("file")
-            or shard_file_names(int(e["index"]), int(e.get("generation", 0) or 0))[0],
-        )
-        for e in manifest["shards"]
+        os.path.join(index_dir, "shards", e["file"]) for e in manifest["shards"]
     )
     ds = rd.read_parquet(shard_files, columns=["field"])
     content_rows = int(
@@ -944,17 +924,11 @@ def incremental_documents_index(sf_dir: str) -> str:
     src = os.path.join(sf_dir, "documents.parquet")
     tag = Path(sf_dir).name or "sf"
     index_dir = os.path.join(CACHE_ROOT, tag, "documents_idx_incr")
-    manifest_path = os.path.join(index_dir, "manifest.json")
-    if os.path.exists(manifest_path):
-        try:
-            with open(manifest_path) as f:
-                m = json.load(f)
-            if m.get("source_mtime") == os.path.getmtime(src) and m.get(
-                "incremental_appends_done"
-            ):
-                return index_dir
-        except (json.JSONDecodeError, OSError):
-            pass
+    m = cached_manifest(index_dir)
+    if m.get("source_mtime") == os.path.getmtime(src) and m.get(
+        "incremental_appends_done"
+    ):
+        return index_dir
     import shutil
 
     staging = index_dir + "_staging"

@@ -64,6 +64,18 @@ def _isin_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b[idx] == a
 
 
+def _id_range_mask(ids: pa.Array, node) -> pa.Array:
+    """Rows of ``ids`` inside a RangeStr node's bounds."""
+    mask = pa.array(np.ones(len(ids), dtype=bool))
+    if node.lower is not None:
+        op = pc.greater_equal if node.lower.bound == "Included" else pc.greater
+        mask = pc.and_(mask, op(ids, node.lower.value))
+    if node.upper is not None:
+        op = pc.less_equal if node.upper.bound == "Included" else pc.less
+        mask = pc.and_(mask, op(ids, node.upper.value))
+    return mask
+
+
 class _Norms:
     """Per-partition fieldnorm lookup, loaded LAZILY with an LRU.
 
@@ -76,12 +88,8 @@ class _Norms:
 
     _LRU_MAX = 128
 
-    def __init__(self, doclen_dir: str, part_indices: list[int] | None = None):
+    def __init__(self, doclen_dir: str, part_indices: list[int]):
         self.dir = Path(doclen_dir)
-        if part_indices is None:
-            part_indices = sorted(
-                int(p.stem.split("-")[1]) for p in self.dir.glob("part-*.parquet")
-            )
         self.part_indices = list(part_indices)
         self._cache: dict[int, tuple] = {}
         # live-overlay partitions (state/live.py): in-memory doclen rows
@@ -168,7 +176,7 @@ class _ShardCache:
 
     _RG_CACHE_MAX = 256
 
-    def __init__(self, shards_dir: str, shard_entries: list[dict] | None = None):
+    def __init__(self, shards_dir: str, shard_entries: list[dict]):
         self.shards_dir = shards_dir
         self._entries: dict[int, dict | None] = {}
         self._rg_cache: dict[tuple[int, int], pa.Table] = {}
@@ -186,47 +194,15 @@ class _ShardCache:
         # from its norms/idmap (the pinned-snapshot discipline,
         # keeper.rs:2766).
         self._snapshot: dict[int, list[tuple[str, str]]] = {}
-        if shard_entries is not None:
-            from ..stages.encode import shard_file_names
-
-            for e in sorted(
-                shard_entries, key=lambda e: int(e.get("generation", 0) or 0)
-            ):
-                idx = int(e["index"])
-                gen = int(e.get("generation", 0) or 0)
-                file_name = e.get("file")
-                keys_name = e.get("keys_file")
-                if not file_name:  # legacy manifest entry: derive names
-                    file_name, keys_name = shard_file_names(idx, gen)
-                self._snapshot.setdefault(idx, []).append(
-                    (
-                        os.path.join(shards_dir, file_name),
-                        os.path.join(shards_dir, keys_name),
-                    )
+        for e in sorted(
+            shard_entries, key=lambda e: int(e.get("generation", 0) or 0)
+        ):
+            self._snapshot.setdefault(int(e["index"]), []).append(
+                (
+                    os.path.join(shards_dir, e["file"]),
+                    os.path.join(shards_dir, e["keys_file"]),
                 )
-        else:
-            # no manifest (bare-directory open, tests): fall back to one
-            # listdir snapshot with the conventional names
-            import re
-
-            try:
-                names = sorted(os.listdir(shards_dir))
-            except FileNotFoundError:
-                names = []
-            for name in names:
-                m = re.fullmatch(r"(?:gen(\d+)-)?shard-(\d+)\.parquet", name)
-                if m:
-                    sid = int(m.group(2))
-                    gen = int(m.group(1) or 0)
-                    from ..stages.encode import shard_file_names
-
-                    _f, keys_name = shard_file_names(sid, gen)
-                    self._snapshot.setdefault(sid, []).append(
-                        (
-                            os.path.join(shards_dir, name),
-                            os.path.join(shards_dir, keys_name),
-                        )
-                    )
+            )
 
     def _load(self, shard_id: int) -> list | None:
         """All generations of one shard, base first then deltas ascending
@@ -241,18 +217,7 @@ class _ShardCache:
         entries = []
         for path, keys_path in paths:
             pf = pq.ParquetFile(path)
-            if os.path.exists(keys_path):
-                kt = pq.read_table(keys_path)
-            else:  # legacy shard without sidecar: one cheap key-columns scan
-                kt_full = pq.read_table(
-                    path, columns=["field", "term", "bucket"]
-                )
-                starts = []
-                row = 0
-                for g in range(pf.metadata.num_row_groups):
-                    starts.append(row)
-                    row += pf.metadata.row_group(g).num_rows
-                kt = kt_full.take(pa.array(starts))
+            kt = pq.read_table(keys_path)
             keys = list(
                 zip(
                     kt["field"].to_pylist(),
@@ -500,7 +465,7 @@ class LocalSearcher:
             [p["index"] for p in self.manifest["partitions"]],
         )
         self.shards = _ShardCache(
-            os.path.join(index_dir, "shards"), self.manifest.get("shards")
+            os.path.join(index_dir, "shards"), self.manifest["shards"]
         )
         self._bm_cache: dict[tuple[int, str], dict | None] = {}
         self._post_cache: dict[tuple[int, str], tuple] = {}
@@ -543,17 +508,14 @@ class LocalSearcher:
 
             self._query_analyze = get_analyzer(name).query_terms
         # hash-bucketed id probe (IDHASH): O(buckets-touched) row-group
-        # reads instead of O(partitions) idmap scans; legacy indexes
-        # without the sidecar fall back to the scan paths below
-        meta = self.manifest.get("idhash")
-        if meta:
-            from ..state.idhash import IdHashProbe
+        # reads instead of O(partitions) idmap scans
+        from ..state.idhash import IdHashProbe
 
-            self.idhash = IdHashProbe(
-                index_dir, meta, [p["index"] for p in self.manifest["partitions"]]
-            )
-        else:
-            self.idhash = None
+        self.idhash = IdHashProbe(
+            index_dir,
+            self.manifest["idhash"],
+            [p["index"] for p in self.manifest["partitions"]],
+        )
         # CONST-SCORE field ords beyond the BM25 text fields (CASS prefix
         # + keyword facets): match/filter semantics, score 1.0 per hit
         schema_kind = self.manifest.get("config", {}).get("schema_kind")
@@ -941,8 +903,7 @@ class LocalSearcher:
         return docids, np.full(len(docids), _F32_ONE, dtype=np.float32)
 
     def _eval_keyword(self, value: str, field_name: str):
-        """Keyword (id) term: bucketed IDHASH probe (const score 1.0);
-        idmap equality scan only on legacy indexes without the sidecar."""
+        """Keyword (id) term: bucketed IDHASH probe (const score 1.0)."""
         if field_name != "id":
             return np.zeros(0, np.uint64), np.zeros(0, np.float32)
         if self._overlay is not None:
@@ -952,23 +913,7 @@ class LocalSearcher:
                     np.array([hit[0]], dtype=np.uint64),
                     np.full(1, _F32_ONE, dtype=np.float32),
                 )
-        if self.idhash is not None:
-            d = self.idhash.lookup([value])["docid"].to_numpy()
-            if len(d) == 0:
-                return np.zeros(0, np.uint64), np.zeros(0, np.float32)
-            return d.astype(np.uint64), np.full(len(d), _F32_ONE, dtype=np.float32)
-        matches = []
-        # legacy sidecar-less fallback: stream partitions UNCACHED — a
-        # full-corpus scan must never pin the whole idmap in one replica
-        for p in sorted(self._idmap_paths):
-            t = pq.read_table(self._idmap_paths[p], columns=["id", "docid"])
-            mask = pc.equal(t["id"], value)
-            d = t.filter(mask)["docid"].to_numpy()
-            if len(d):
-                matches.append(d)
-        if not matches:
-            return np.zeros(0, np.uint64), np.zeros(0, np.float32)
-        d = np.concatenate(matches)
+        d = self.idhash.lookup([value])["docid"].to_numpy().astype(np.uint64)
         return d, np.full(len(d), _F32_ONE, dtype=np.float32)
 
     def _pos_entry(self, field: int, term: str) -> list:
@@ -1278,68 +1223,18 @@ class LocalSearcher:
         """RangeStr/SetStr: keyword id via idmap; text fields via termdict
         scan.  Constant score 1.0 per match (ConstScorer semantics)."""
         if node.field == "id":
-            ov_hits = np.zeros(0, np.uint64)
+            if isinstance(node, SetStr):
+                d = self.idhash.lookup(list(node.values))["docid"].to_numpy()
+            else:
+                parts = [
+                    t.filter(_id_range_mask(t["id"], node))["docid"].to_numpy()
+                    for t in self.idhash.scan_tables(("id", "docid"))
+                ]
+                d = np.concatenate(parts) if parts else np.zeros(0, np.uint64)
+            d = d.astype(np.uint64)
             if self._overlay is not None:
-                ov_hits = self._overlay.ids_in_range(node)
-            if self.idhash is not None:
-                if isinstance(node, SetStr):
-                    d = self.idhash.lookup(list(node.values))["docid"].to_numpy()
-                else:
-                    parts = []
-                    for t in self.idhash.scan_tables(("id", "docid")):
-                        ids = t["id"]
-                        mask = pa.array(np.ones(len(ids), dtype=bool))
-                        if node.lower is not None:
-                            op = (
-                                pc.greater_equal
-                                if node.lower.bound == "Included"
-                                else pc.greater
-                            )
-                            mask = pc.and_(mask, op(ids, node.lower.value))
-                        if node.upper is not None:
-                            op = (
-                                pc.less_equal
-                                if node.upper.bound == "Included"
-                                else pc.less
-                            )
-                            mask = pc.and_(mask, op(ids, node.upper.value))
-                        hit = t.filter(mask)["docid"].to_numpy()
-                        if len(hit):
-                            parts.append(hit)
-                    d = (
-                        np.concatenate(parts) if parts else np.zeros(0, np.uint64)
-                    )
-                if len(ov_hits):
-                    d = np.concatenate((d.astype(np.uint64), ov_hits))
-                if len(d) == 0:
-                    return np.zeros(0, np.uint64), np.zeros(0, np.float32)
-                d = np.sort(d.astype(np.uint64))
-                return d, np.full(len(d), _F32_ONE, dtype=np.float32)
-            matches = []
-            # same legacy fallback: uncached column-pruned streaming scan
-            for p in sorted(self._idmap_paths):
-                t = pq.read_table(
-                    self._idmap_paths[p], columns=["id", "docid"]
-                )
-                ids = t["id"]
-                if isinstance(node, SetStr):
-                    mask = pc.is_in(ids, value_set=pa.array(node.values))
-                else:
-                    mask = pa.array(np.ones(len(ids), dtype=bool))
-                    if node.lower is not None:
-                        op = pc.greater_equal if node.lower.bound == "Included" else pc.greater
-                        mask = pc.and_(mask, op(ids, node.lower.value))
-                    if node.upper is not None:
-                        op = pc.less_equal if node.upper.bound == "Included" else pc.less
-                        mask = pc.and_(mask, op(ids, node.upper.value))
-                d = t.filter(mask)["docid"].to_numpy()
-                if len(d):
-                    matches.append(d)
-            if len(ov_hits):
-                matches.append(ov_hits)
-            if not matches:
-                return np.zeros(0, np.uint64), np.zeros(0, np.float32)
-            d = np.concatenate(matches)
+                d = np.concatenate((d, self._overlay.ids_in_range(node)))
+            d = np.sort(d)
             return d, np.full(len(d), _F32_ONE, dtype=np.float32)
         # text field: union of postings of matching terms
         ford = FIELD_ORDS.get(node.field)
@@ -1390,8 +1285,8 @@ class LocalSearcher:
         row group per field (``build.write_numeric_sidecar``), so a
         one-field range on a multi-field index never decodes the other
         fields' rows (VERDICT r03 #6; same discipline as the postings
-        probe).  Legacy single-row-group sidecars still read correctly
-        (their one group covers every field)."""
+        probe).  A row group without ``field`` statistics is read
+        whole."""
         got = self._numeric_cache.get(field_name)
         if got is not None:
             return got

@@ -1,7 +1,7 @@
 """Shard segment encoder: one term-partitioned shard -> compressed parquet.
 
-Consumes all postings rows routed to one shard (output of the
-``groupby("shard")`` exchange), sorts by ``(field, term, bucket, docid)``,
+Consumes all postings rows routed to one shard (the reduce side of the
+build's hash-partition exchange), sorts by ``(field, term, bucket, docid)``,
 and encodes one row per ``(field, term, bucket)``: FOR-compressed postings,
 blockmax records and a varint position stream (``codecs``).  Written sorted
 with small parquet row groups so query-time term probes can prune row

@@ -5,7 +5,7 @@ The Ray-Data-native replacement for the reference ``ColumnarAccumulator``
 Arrow table of ``(field, term, docid, tf, norm, positions)`` rows per input
 partition — the reference's own bet Q2 ("tokenize into flat columns, radix
 partition by term", ``PLAN.md:34``) expressed as data, ready for the
-groupby-shuffle.
+build's map-side shard routing.
 
 Everything here is pure (table in, tables out) and Ray-free so it unit-tests
 without a cluster; ``build.py`` wraps it in ``map_batches`` tasks.
@@ -174,14 +174,21 @@ def hash64_column(texts: pa.Array, algo: str = "blake2b") -> np.ndarray:
 
 def upsert_identity(content_arr, title_arr=None):
     """The column whose blake2b hash IS a document's upsert identity:
-    body text alone for content-only schemas; ``title 0x1f body`` for
-    html corpora — the title is an indexed, boosted field, so a
-    title-only edit must NOT hash as a no-op (it would silently skip
-    reindexing and serve the stale title forever)."""
+    body text alone for content-only schemas; ``len(title) 0x1f title
+    0x1f body`` for html corpora — the title is an indexed, boosted
+    field, so a title-only edit must NOT hash as a no-op (it would
+    silently skip reindexing and serve the stale title forever).  The
+    length prefix makes the encoding injective: without it, title
+    ``a 0x1f b`` with body ``c`` and title ``a`` with body ``b 0x1f c``
+    would hash the same, and a real edit would look like a no-op."""
     if title_arr is None:
         return content_arr
+    title = pc.fill_null(title_arr, "")
     return pc.binary_join_element_wise(
-        pc.fill_null(title_arr, ""), pc.fill_null(content_arr, ""), "\x1f"
+        pc.cast(pc.utf8_length(title), pa.string()),
+        title,
+        pc.fill_null(content_arr, ""),
+        "\x1f",
     )
 
 

@@ -68,44 +68,22 @@ def _write_manifest(index_dir: str, manifest: dict) -> None:
 
 def _probe_ids(index_dir: str, manifest: dict, ids: list[str]) -> dict[str, tuple[int, int]]:
     """id -> (docid, content_hash) over live rows, newest row winning
-    (re-added ids resolve to their latest revision).
+    (re-added ids resolve to their latest revision), via the
+    hash-bucketed IDHASH sidecar (O(buckets-touched) row-group reads)."""
+    from . import idhash as idh
 
-    Uses the hash-bucketed IDHASH sidecar when the manifest carries one
-    (O(buckets-touched) row-group reads); falls back to the
-    newest-partition-first idmap scan for legacy indexes."""
     tomb = set(int(x) for x in manifest.get("tombstones", []))
-    meta = manifest.get("idhash")
-    if meta:
-        from . import idhash as idh
-
-        probe = idh.IdHashProbe(
-            index_dir, meta, [p["index"] for p in manifest["partitions"]]
-        )
-        t = probe.lookup(list(set(ids)))
-        out: dict[str, tuple[int, int]] = {}
-        # docid-ascending: later (newer-partition) rows overwrite earlier
-        for i in range(len(t)):
-            docid = int(t["docid"][i].as_py())
-            if docid in tomb:
-                continue
-            out[t["id"][i].as_py()] = (docid, int(t["content_hash"][i].as_py()))
-        return out
-    want = set(ids)
-    out = {}
-    for part in sorted(manifest["partitions"], key=lambda p: -p["index"]):
-        if not want:
-            break
-        path = os.path.join(index_dir, "idmap", f"part-{part['index']:05d}.parquet")
-        t = pq.read_table(path)
-        mask = pc.is_in(t["id"], value_set=pa.array(sorted(want)))
-        hit = t.filter(mask)
-        for i in range(len(hit)):
-            docid = int(hit["docid"][i].as_py())
-            ext = hit["id"][i].as_py()
-            if docid in tomb or ext not in want:
-                continue
-            out[ext] = (docid, int(hit["content_hash"][i].as_py()))
-            want.discard(ext)
+    probe = idh.IdHashProbe(
+        index_dir, manifest["idhash"], [p["index"] for p in manifest["partitions"]]
+    )
+    t = probe.lookup(list(set(ids)))
+    out: dict[str, tuple[int, int]] = {}
+    # docid-ascending: later (newer-partition) rows overwrite earlier
+    for i in range(len(t)):
+        docid = int(t["docid"][i].as_py())
+        if docid in tomb:
+            continue
+        out[t["id"][i].as_py()] = (docid, int(t["content_hash"][i].as_py()))
     return out
 
 
@@ -141,9 +119,7 @@ def _encode_delta_shards(
     def one(shard_id: int):
         tables = []
         for p in new_pindices:
-            path = os.path.join(
-                index_dir, "postings", f"part-{p:05d}.parquet"
-            )
+            path = _part_paths(index_dir, p)["postings"] + ".parquet"
             if not os.path.exists(path):
                 continue
             pf = pq.ParquetFile(path)
@@ -232,17 +208,11 @@ def _rollup_and_publish(
 
 
 def _referenced_shard_files(manifest: dict) -> set[str]:
-    from ..stages.encode import shard_file_names
-
     out: set[str] = set()
     for e in manifest.get("shards", []):
-        if e.get("index") is None:
-            continue
-        f, k = e.get("file"), e.get("keys_file")
-        if not f:  # legacy entry: conventional names
-            f, k = shard_file_names(int(e["index"]), int(e.get("generation", 0) or 0))
-        out.add(f)
-        out.add(k)
+        if e.get("index") is not None:
+            out.add(e["file"])
+            out.add(e["keys_file"])
     return out
 
 
@@ -294,11 +264,6 @@ def _gc_shards(index_dir: str) -> None:
 
 
 def _cfg_of(manifest: dict) -> BuildConfig:
-    if manifest.get("config", {}).get("shuffle_mode", "fs") != "fs":
-        raise NotImplementedError(
-            "incremental maintenance requires the fs shuffle layout; "
-            "rebuild with shuffle_mode='fs'"
-        )
     known = {f.name for f in BuildConfig.__dataclass_fields__.values()}
     return BuildConfig(**{k: v for k, v in manifest["config"].items() if k in known})
 
@@ -373,8 +338,6 @@ def _append_rows(
     # the same shape would silently reuse the stale postings.  The old
     # checkpoints carry no value (never published) — drop the marker so
     # the CURRENT batch is always the one tokenized.
-    from ..build import _part_paths
-
     stale_marker = _part_paths(index_dir, pindex)["stats"]
     if os.path.exists(stale_marker):
         os.remove(stale_marker)
@@ -438,8 +401,6 @@ def delete_all(index_dir: str, auto_maintain: bool = True) -> dict:
     union of doclen docids plus the current tombstone set covers every
     docid any reader can score.  With ``auto_maintain`` the 100%%
     tombstone density immediately triggers compaction."""
-    from ..build import _part_paths
-
     manifest = load_manifest(index_dir)
     tomb = set(int(x) for x in manifest.get("tombstones", []))
     for part in manifest["partitions"]:
@@ -617,8 +578,8 @@ def merge_delta_generations(index_dir: str, fanout: int = MERGE_FANOUT) -> dict:
     mediums, mediums into larges, and a large segment is never dragged
     into a small merge — the long-lived incremental index develops the
     same segment-size distribution as the reference (VERDICT r04 #5).
-    Manifests predating the ``delta_gens`` span records fall back to
-    the round-3 oldest-``fanout`` rule.
+    Every delta generation has a ``delta_gens`` span record: appends
+    write one, and a merge replaces its sources' records with one.
 
     Encoded term rows are interleaved by a STABLE (field, term, bucket)
     sort of the generation-ordered concat — no postings re-encode; the
@@ -635,51 +596,33 @@ def merge_delta_generations(index_dir: str, fanout: int = MERGE_FANOUT) -> dict:
     )
     if len(gens) < fanout:
         return manifest
-    spans = {
-        int(r["generation"]): r for r in manifest.get("delta_gens", [])
-    }
-    if all(g in spans for g in gens):
-        segments = sorted(
-            (
-                {
-                    "segment_id": g,
-                    "docid_lo": int(spans[g]["p_lo"]),
-                    "docid_hi": int(spans[g]["p_hi"]),
-                }
-                for g in gens
-            ),
-            key=lambda s: s["docid_lo"],
-        )
-        plan = plan_tier_merge(segments, TierMergePolicy(fanout=fanout))
-        if plan is None:
-            return manifest
-        merge_gens = set(plan["source_segment_ids"])
-        manifest["delta_gens"] = sorted(
-            [r for g, r in spans.items() if g not in merge_gens]
-            + [
-                {
-                    "generation": max(merge_gens),
-                    "p_lo": plan["docid_lo"],
-                    "p_hi": plan["docid_hi"],
-                }
-            ],
-            key=lambda r: int(r["generation"]),
-        )
-    else:
-        merge_gens = set(gens[:fanout])  # legacy manifests: oldest run
-        if spans:
-            # partial span coverage: drop any span records touching the
-            # merged run rather than leave one describing only the
-            # target's LAST constituent batch — a stale narrow span
-            # would make the tier planner classify the merged (wide)
-            # segment as small and drag it into small-tier merges, the
-            # exact churn TierMergePolicy exists to prevent.  With the
-            # records dropped, planning falls back to the legacy rule
-            # until new appends re-establish full span coverage.
-            manifest["delta_gens"] = sorted(
-                [r for g, r in spans.items() if g not in merge_gens],
-                key=lambda r: int(r["generation"]),
-            )
+    spans = {int(r["generation"]): r for r in manifest["delta_gens"]}
+    segments = sorted(
+        (
+            {
+                "segment_id": g,
+                "docid_lo": int(spans[g]["p_lo"]),
+                "docid_hi": int(spans[g]["p_hi"]),
+            }
+            for g in gens
+        ),
+        key=lambda s: s["docid_lo"],
+    )
+    plan = plan_tier_merge(segments, TierMergePolicy(fanout=fanout))
+    if plan is None:
+        return manifest
+    merge_gens = set(plan["source_segment_ids"])
+    manifest["delta_gens"] = sorted(
+        [r for g, r in spans.items() if g not in merge_gens]
+        + [
+            {
+                "generation": max(merge_gens),
+                "p_lo": plan["docid_lo"],
+                "p_hi": plan["docid_hi"],
+            }
+        ],
+        key=lambda r: int(r["generation"]),
+    )
     target_gen = max(merge_gens)
     me = int(manifest.get("delta_merge_epoch", 0)) + 1
     by_shard: dict[int, list[dict]] = {}
@@ -694,14 +637,12 @@ def merge_delta_generations(index_dir: str, fanout: int = MERGE_FANOUT) -> dict:
 
     @ray.remote(num_cpus=1)
     def one(shard_id: int, es: list[dict]) -> dict:
-        from ..stages.encode import shard_file_names, write_shard
+        from ..stages.encode import write_shard
 
-        tables = []
-        for e in sorted(es, key=lambda e: int(e.get("generation", 0) or 0)):
-            f = e.get("file") or shard_file_names(
-                shard_id, int(e.get("generation", 0) or 0)
-            )[0]
-            tables.append(pq.read_table(os.path.join(shards_dir, f)))
+        tables = [
+            pq.read_table(os.path.join(shards_dir, e["file"]))
+            for e in sorted(es, key=lambda e: int(e.get("generation", 0) or 0))
+        ]
         t = pa.concat_tables(tables)
         # STABLE key sort: same-key rows keep generation (= docid) order
         order = pc.sort_indices(
@@ -864,9 +805,7 @@ def _compact_partition(
     stats["content"] = {"doc_count": live_count, "total_tokens": token_totals["content"]}
     stats["title"] = {"doc_count": live_count, "total_tokens": token_totals["title"]}
     stats["postings_rows"] = postings_rows
-    stats["files"] = files + [
-        f for f in stats.get("files", []) if f.startswith("df/")
-    ]
+    stats["files"] = files
     _atomic_write_json(stats, paths["stats"])
 
 

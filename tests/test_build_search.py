@@ -272,31 +272,6 @@ class TestSaltingDifferential:
             assert a == b, q
 
 
-class TestShuffleModeDifferential:
-    def test_groupby_equals_fs(
-        self, ray_session, tmp_index_root, searcher, reference_queries
-    ):
-        """The Ray groupby sort-shuffle exchange and the map-side fs hash
-        partition must produce rank/score-identical indexes."""
-        paths = pages.tier_t1()
-        gb_dir = str(tmp_index_root / "t1_groupby")
-        cfg = BuildConfig(
-            id_col="url",
-            html_col="html",
-            num_shards=4,
-            salt_threshold=25,
-            salt_buckets=2,
-            target_partition_rows=50,
-            shuffle_mode="groupby",
-        )
-        build_index(paths, gb_dir, cfg, resume=False)
-        gb = LocalSearcher(gb_dir)
-        for q in ["the", "rust ownership borrowing", '"error handling"', "error"]:
-            a = [(h["id"], h["score_bits"]) for h in searcher.search(q, 10)["hits"]]
-            b = [(h["id"], h["score_bits"]) for h in gb.search(q, 10)["hits"]]
-            assert a == b, q
-
-
 class TestResume:
     def test_rebuild_skips_partitions_and_matches(
         self, ray_session, t1_index, searcher
@@ -566,12 +541,12 @@ class TestDegenerateCorpora:
         assert res["hits"][0]["snippet"] == "<b>only</b> doc"
 
 
-class TestOddShardsGroupbyDifferential:
-    def test_groupby_salted_odd_shards_matches(self, ray_session, tmp_index_root, searcher):
+class TestOddShardsSaltedRouting:
+    def test_salted_odd_shards_matches(self, ray_session, tmp_index_root, searcher):
         """The routing-wrap bug class: salted terms + non-power-of-two
-        shard counts, through the groupby exchange."""
+        shard and bucket counts route to the same results."""
         paths = pages.tier_t1()
-        d = str(tmp_index_root / "t1_gb_odd")
+        d = str(tmp_index_root / "t1_odd")
         cfg = BuildConfig(
             id_col="url",
             html_col="html",
@@ -579,13 +554,12 @@ class TestOddShardsGroupbyDifferential:
             salt_threshold=25,
             salt_buckets=3,
             target_partition_rows=50,
-            shuffle_mode="groupby",
         )
         build_index(paths, d, cfg, resume=False)
-        gb = LocalSearcher(d)
+        odd = LocalSearcher(d)
         for q in ["the", "the of and", "rust ownership", "error"]:
             a = [(h["id"], h["score_bits"]) for h in searcher.search(q, 10)["hits"]]
-            b = [(h["id"], h["score_bits"]) for h in gb.search(q, 10)["hits"]]
+            b = [(h["id"], h["score_bits"]) for h in odd.search(q, 10)["hits"]]
             assert a == b, q
 
 

@@ -327,3 +327,122 @@ def test_job_delete_tombstones_and_is_idempotent(ray_session, capsys, tmp_path):
     assert job.main(["delete", "--index-dir", idx, "--ids-file", ids_file]) == 0
     out2 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert out2["docs_deleted"] == 0
+
+
+def _small_content_index(tmp_path, rows):
+    """A content-schema index over ``rows`` of (doc_id, text), built from
+    data made here (no external fixtures)."""
+    import pyarrow.parquet as pq
+
+    from frankensearch_ray.build import BuildConfig, build_index
+
+    src = str(tmp_path / "base.parquet")
+    pq.write_table(_docs_table(rows), src)
+    idx = str(tmp_path / "idx")
+    cfg = BuildConfig(
+        id_col="doc_id",
+        content_col="text",
+        html_col=None,
+        verify_text_col=None,
+        num_shards=2,
+        salt_threshold=10**9,
+        target_partition_rows=100,
+    )
+    build_index([src], idx, cfg, resume=False)
+    return idx
+
+
+def _docs_table(rows):
+    import pyarrow as pa
+
+    return pa.table(
+        {
+            "doc_id": pa.array([r[0] for r in rows], pa.string()),
+            "text": pa.array([r[1] for r in rows], pa.string()),
+        }
+    )
+
+
+def test_job_append_rejected_batch_ends_with_json_error(ray_session, capsys, tmp_path):
+    """A batch carrying an already-live id stops `job append` with one
+    JSON error line and a nonzero exit; the line counts what the earlier
+    batches applied, and those stay applied."""
+    import pyarrow.parquet as pq
+
+    from frankensearch_ray import job
+    from frankensearch_ray.search.searcher import LocalSearcher
+
+    idx = _small_content_index(tmp_path, [("a", "alpha"), ("b", "beta")])
+    src = str(tmp_path / "more.parquet")
+    pq.write_table(
+        _docs_table([("n1", "new one"), ("n2", "new two"), ("a", "dup"), ("n3", "x")]),
+        src,
+    )
+    rc = job.main(
+        ["append", "--source", src, "--index-dir", idx,
+         "--id-col", "doc_id", "--batch-rows", "2"]
+    )
+    assert rc == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[-1])
+    assert err["command"] == "append"
+    assert "already-live" in err["error"]
+    assert (err["batches_applied"], err["docs_applied"]) == (1, 2)
+    assert err["source"] == src
+    s = LocalSearcher(idx)
+    assert {h["id"] for h in s.search("new", limit=10)["hits"]} == {"n1", "n2"}
+    assert s.search("dup", limit=10)["hits"] == []
+
+
+def test_job_watch_gives_up_on_unreadable_file(ray_session, capsys, tmp_path):
+    """A file that never parses is marked seen after a fixed number of
+    polls and listed under ``unreadable_files``; a torn file whose write
+    later completes (new mtime) is still read."""
+    import os
+    import threading
+    import time as _time
+
+    import pyarrow.parquet as pq
+
+    from frankensearch_ray import job
+    from frankensearch_ray.search.searcher import LocalSearcher
+
+    idx = _small_content_index(tmp_path, [("a", "alpha"), ("b", "beta")])
+    watch_dir = str(tmp_path / "incoming")
+    os.makedirs(watch_dir)
+    bad = os.path.join(watch_dir, "bad.parquet")
+    torn = os.path.join(watch_dir, "torn.parquet")
+    with open(bad, "wb") as f:
+        f.write(b"PAR1 not a parquet file")
+    pq.write_table(_docs_table([("t1", "torn then whole"), ("t2", "whole")]), torn)
+    with open(torn, "rb") as f:
+        whole = f.read()
+    with open(torn, "wb") as f:
+        f.write(whole[: len(whole) // 2])  # a producer mid-write
+    old = os.path.getmtime(torn)
+    given_up = threading.Event()
+
+    def finish_write():
+        # well past WATCH_UNREADABLE_POLLS polls of 10 ms
+        _time.sleep(1.0)
+        with open(torn, "wb") as f:
+            f.write(whole)
+        os.utime(torn, (old + 5, old + 5))
+        given_up.set()
+
+    th = threading.Thread(target=finish_write)
+    th.start()
+    rc = job.main(
+        ["watch", "--index-dir", idx, "--source-dir", watch_dir,
+         "--poll-ms", "10", "--max-seconds", "3"]
+    )
+    th.join()
+    assert rc == 0 and given_up.is_set()
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert out["unreadable_files"] == [bad]
+    assert out["upserts"] == 2
+    hits = LocalSearcher(idx).search("whole", limit=10)["hits"]
+    assert {h["id"] for h in hits} == {"t1", "t2"}

@@ -268,17 +268,40 @@ class TestIdHash:
         assert s.search("id:d3", limit=5)["hits"] == []
         assert [h["id"] for h in s.search("id:d1", limit=5)["hits"]] == ["d1"]
 
-    def test_range_and_set_probes_match_legacy_scan(self, small_index):
-        """IDHASH-backed id range/set evaluation ≡ the idmap scan path."""
+    def test_range_and_set_probes_match_idmap_reference(self, small_index):
+        """IDHASH-backed id range/set evaluation ≡ the (id, docid) rows of
+        the idmap sidecars minus tombstones, filtered right here."""
+        import os
+
+        import pyarrow.parquet as pq
+
         d = small_index
         mnt.append_table(d, _pages_table([("z9", "zeta niner")]))
+        mnt.upsert_table(d, _pages_table([("d3", "a second d3 revision")]))
+        m = mnt.load_manifest(d)
+        tomb = set(m.get("tombstones", []))
+        assert tomb, "the upsert must leave the old d3 row tombstoned"
+        rows = set()
+        for p in m["partitions"]:
+            t = pq.read_table(
+                os.path.join(d, "idmap", f"part-{p['index']:05d}.parquet"),
+                columns=["id", "docid"],
+            )
+            rows |= {
+                (i, x)
+                for i, x in zip(t["id"].to_pylist(), t["docid"].to_pylist())
+                if x not in tomb
+            }
+        cases = {
+            "id:[d2 TO d4]": lambda i: "d2" <= i <= "d4",
+            "id:[a TO z}": lambda i: "a" <= i < "z",
+            "id:{d1 TO d3]": lambda i: "d1" < i <= "d3",
+            "id: IN [d1 d3 z9 absent]": lambda i: i in {"d1", "d3", "z9"},
+        }
         s = LocalSearcher(d)
-        legacy = LocalSearcher(d)
-        legacy.idhash = None  # force the scan path
-        for q in ("id:[d2 TO d4]", "id:[a TO z}", "id:{d1 TO d3]"):
-            a = [(h["id"], h["docid"]) for h in s.search(q, limit=20)["hits"]]
-            b = [(h["id"], h["docid"]) for h in legacy.search(q, limit=20)["hits"]]
-            assert a == b, q
+        for q, keep in cases.items():
+            got = {(h["id"], h["docid"]) for h in s.search(q, limit=20)["hits"]}
+            assert got == {r for r in rows if keep(r[0])}, q
 
 
 class TestTieredMerge:

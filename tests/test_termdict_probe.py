@@ -14,7 +14,8 @@ import pytest
 
 @pytest.fixture()
 def multi_group_shard(tmp_path, monkeypatch):
-    """One shard with 200 terms at 8 rows per row group (25 groups)."""
+    """One shard with 200 terms at 8 rows per row group (25 groups):
+    ``((shards_dir, manifest entry), terms)``."""
     from frankensearch_ray.stages import encode
 
     monkeypatch.setattr(encode, "ROW_GROUP_ROWS", 8)
@@ -36,48 +37,49 @@ def multi_group_shard(tmp_path, monkeypatch):
     w.add(t)
     info = w.close()
     assert info["rows"] == n
-    return str(tmp_path), terms
+    return (str(tmp_path), info), terms
 
 
-def _cache(shard_dir):
+def _cache(shard):
     from frankensearch_ray.search.searcher import _ShardCache
 
-    return _ShardCache(shard_dir)
+    shards_dir, entry = shard
+    return _ShardCache(shards_dir, [entry])
 
 
 class TestBoundedProbes:
     def test_narrow_range_reads_covering_groups_only(self, multi_group_shard):
-        shard_dir, terms = multi_group_shard
-        sc = _cache(shard_dir)
+        shard, terms = multi_group_shard
+        sc = _cache(shard)
         got = list(sc.iter_terms_range(0, 1, "t0100", "t0105"))
         assert got == [f"t{i:04d}" for i in range(100, 106)]
         # 6 matching terms span at most 2 of the 25 row groups
         assert sc.kv_groups_read <= 2
 
     def test_exact_probe_reads_one_group(self, multi_group_shard):
-        shard_dir, _ = multi_group_shard
-        sc = _cache(shard_dir)
+        shard, _ = multi_group_shard
+        sc = _cache(shard)
         got = list(sc.iter_terms_range(0, 1, "t0042", "t0042"))
         assert got == ["t0042"]
         assert sc.kv_groups_read <= 1
 
     def test_absent_field_reads_nothing(self, multi_group_shard):
-        shard_dir, _ = multi_group_shard
-        sc = _cache(shard_dir)
+        shard, _ = multi_group_shard
+        sc = _cache(shard)
         assert list(sc.iter_terms_range(0, 7, "a", "z")) == []
         # field 7 > field 1: sidecar bisect lands past the end
         assert sc.kv_groups_read <= 1
 
     def test_unbounded_scan_still_complete(self, multi_group_shard):
-        shard_dir, terms = multi_group_shard
-        sc = _cache(shard_dir)
+        shard, terms = multi_group_shard
+        sc = _cache(shard)
         got = list(sc.iter_terms_range(0, 1))
         assert got == terms
         assert sc.kv_groups_read == 25
 
     def test_exclusive_bounds(self, multi_group_shard):
-        shard_dir, _ = multi_group_shard
-        sc = _cache(shard_dir)
+        shard, _ = multi_group_shard
+        sc = _cache(shard)
         got = list(
             sc.iter_terms_range(
                 0, 1, "t0010", "t0013", lower_inc=False, upper_inc=False
@@ -87,8 +89,8 @@ class TestBoundedProbes:
 
     def test_range_matches_full_scan_filter(self, multi_group_shard):
         """Differential: the pruned probe equals filtering the full scan."""
-        shard_dir, terms = multi_group_shard
-        sc = _cache(shard_dir)
+        shard, terms = multi_group_shard
+        sc = _cache(shard)
         lo, hi = "t0007", "t0181"
         pruned = list(sc.iter_terms_range(0, 1, lo, hi))
         full = [t for t in sc.iter_terms(0, 1) if lo <= t <= hi]

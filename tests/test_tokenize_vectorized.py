@@ -10,6 +10,7 @@ from frankensearch_ray.stages.tokenize import (
     _stored_table_scalar,
     content_hashes,
     stored_table,
+    upsert_identity,
 )
 
 TRICKY_TEXTS = [
@@ -23,6 +24,28 @@ TRICKY_TEXTS = [
     " leading and trailing ",
     "ascii-only/with/slashes and 'single quotes'",
 ]
+
+
+class TestUpsertIdentity:
+    def _hashes(self, titles, bodies):
+        return content_hashes(
+            upsert_identity(pa.array(bodies, pa.string()), pa.array(titles, pa.string()))
+        )
+
+    def test_separator_moved_across_fields_is_a_real_edit(self):
+        h = self._hashes(["a\x1fb", "a"], ["c", "b\x1fc"])
+        assert h[0] != h[1]
+
+    def test_identical_resubmit_hashes_equal(self):
+        titles = ["a\x1fb", "日本", None, ""]
+        bodies = ["c", "body 🚀", "x", None]
+        assert np.array_equal(
+            self._hashes(titles, bodies), self._hashes(list(titles), list(bodies))
+        )
+
+    def test_null_title_equals_empty_title(self):
+        h = self._hashes([None, ""], ["body", "body"])
+        assert h[0] == h[1]
 
 
 class TestContentHashes:

@@ -2,7 +2,9 @@
 
 RankExact gate: the engine's top-k must match the oracle's docids AND
 score bits at every rank, for every conformance query, on the t1 corpus
-(120 reference docs + 21 edge cases) — including with aggressive salting.
+(pages pools 1+2: 120 prose docs + 21 edge cases, from the reference
+fixtures where present, else the in-repo pools) — including with
+aggressive salting.
 """
 
 from __future__ import annotations
@@ -84,9 +86,8 @@ def searcher(t1_index):
     return LocalSearcher(index_dir)
 
 
-def _queries(reference_queries):
-    qs = [q["query"] for q in reference_queries]
-    return qs + EXTRA_QUERIES
+def _queries(conformance_queries):
+    return conformance_queries + EXTRA_QUERIES
 
 
 class TestBuild:
@@ -109,10 +110,10 @@ class TestBuild:
 
 class TestRankExact:
     def test_all_queries_rank_and_score_identical(
-        self, searcher, oracle, reference_queries
+        self, searcher, oracle, conformance_queries
     ):
         failures = []
-        for q in _queries(reference_queries):
+        for q in _queries(conformance_queries):
             got = searcher.search(q, limit=10)["hits"]
             parsed = parse_default(q)
             want = oracle.search(parsed.query, limit=10)["hits"]
@@ -125,7 +126,7 @@ class TestRankExact:
         )
 
     def test_pool_identical_to_driver(
-        self, t1_index, searcher, reference_queries
+        self, t1_index, searcher, conformance_queries
     ):
         """Actor-pool replicas return bit-identical hits to the driver
         searcher, in input order, regardless of the dynamic chunk
@@ -133,7 +134,7 @@ class TestRankExact:
         from frankensearch_ray.search.pool import SearcherPool
 
         index_dir, _, _ = t1_index
-        qs = _queries(reference_queries)
+        qs = _queries(conformance_queries)
         pool = SearcherPool(index_dir, size=3)
         try:
             got = pool.search_many(qs, limit=10, chunk_size=2)
@@ -208,7 +209,7 @@ class TestRankExact:
         assert searcher.metadata_for(h[0]["docid"]) is None
 
     def test_clause_thread_fanout_bit_identical(
-        self, t1_index, reference_queries
+        self, t1_index, conformance_queries
     ):
         """Intra-query clause fan-out (the reference's per-segment rayon
         parallelism, index.rs:7847-8121) must not move a single score
@@ -218,14 +219,14 @@ class TestRankExact:
         seq = LocalSearcher(index_dir)
         par = LocalSearcher(index_dir)
         par.clause_threads = 4
-        for q in _queries(reference_queries):
+        for q in _queries(conformance_queries):
             a = seq.search(q, limit=10, pruning=False)["hits"]
             b = par.search(q, limit=10, pruning=False)["hits"]
             assert [(h["docid"], h["score_bits"]) for h in a] == [
                 (h["docid"], h["score_bits"]) for h in b
             ], q
 
-    def test_segment_fanout_bit_identical(self, t1_index, reference_queries):
+    def test_segment_fanout_bit_identical(self, t1_index, conformance_queries):
         """Intra-replica segment-range fan-out in the pruned sweep
         (VERDICT r02 #9; index.rs:7847-8121 with gate 9971-9986): local
         heaps merged on the total-order key must not move a single score
@@ -241,7 +242,7 @@ class TestRankExact:
         old = wand.SEGMENT_FANOUT_THRESHOLD
         wand.SEGMENT_FANOUT_THRESHOLD = 0
         try:
-            for q in _queries(reference_queries):
+            for q in _queries(conformance_queries):
                 a = seq.search(q, limit=10)["hits"]
                 b = par.search(q, limit=10)["hits"]
                 assert [(h["docid"], h["score_bits"]) for h in a] == [
@@ -253,7 +254,7 @@ class TestRankExact:
 
 class TestSaltingDifferential:
     def test_salted_equals_unsalted(
-        self, ray_session, tmp_index_root, searcher, reference_queries
+        self, ray_session, tmp_index_root, searcher
     ):
         paths = pages.tier_t1()
         plain_dir = str(tmp_index_root / "t1_plain")
@@ -360,7 +361,7 @@ class TestQueryFuel:
 
 class TestPermutationLaw:
     def test_doc_order_permutation_rank_invariant(
-        self, ray_session, tmp_index_root, searcher, reference_queries
+        self, ray_session, tmp_index_root, searcher
     ):
         """Gauntlet metamorphic law (PLAN.md:519): permuting input doc
         order must leave ranked (id, score_bits) lists identical after

@@ -166,12 +166,13 @@ class TestAnalyzer:
         toks = an.analyze_admitted_scalar(text)
         assert [(t[0], t[1]) for t in toks] == [("keep", 0), ("tail", 2)]
 
-    def test_vectorized_matches_scalar_on_corpus(
-        self, reference_corpus, edge_cases
-    ):
-        texts = [d["content"] for d in reference_corpus]
-        texts += [d["title"] for d in reference_corpus]
-        texts += [c["text"] for c in edge_cases]
+    def test_vectorized_matches_scalar_on_corpus(self):
+        from frankensearch_ray.sources import pages
+
+        corpus = pages._corpus_rows()
+        texts = [r["text"] for r in corpus]
+        texts += [r["title"] for r in corpus]
+        texts += [r["text"] for r in pages._edge_rows(0)]
         texts += ["", "   ", "POL-358 Rust", "ÉCLAIR 東京 abc"]
         arr = pa.array(texts, type=pa.string())
         tokens, doc_idx, positions = an.tokenize_column(arr)

@@ -16,9 +16,11 @@ Layout:
   row group(s).  Built at full build / compaction rollup under the
   current epoch's name (crash-safe publish; GC'd like shard files).
 
-A probe = base bucket file + the part files of partitions appended AFTER
-the base was built (``index >= base_partitions``); generation count is
-bounded by the merge/compaction policy.
+A probe = one base bucket file per touched bucket + one footer read and
+one ``read_row_groups`` call per part file of a partition appended AFTER
+the base was built (``index >= base_partitions``), whatever the number of
+touched buckets.  So a probe's cost grows with the appends since the last
+compaction (which rebuilds the base), not with buckets x appends.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ import pyarrow.parquet as pq
 
 N_BUCKETS = 64
 BASE_ROW_GROUP = 4096
+_ROWS_SCHEMA = pa.schema(
+    [("id", pa.string()), ("docid", pa.uint64()), ("content_hash", pa.uint64())]
+)
 
 
 def bucket_of(value: str, n_buckets: int = N_BUCKETS) -> int:
@@ -90,8 +95,9 @@ def write_partition_idhash(
     os.replace(tmp, path)
 
 
-def _bucket_row_groups(pf: pq.ParquetFile, bucket: int) -> list[int]:
-    """Row groups of a part file holding ``bucket`` (footer stats only)."""
+def _bucket_row_groups(pf: pq.ParquetFile, buckets) -> list[int]:
+    """Row groups of a part file holding any of ``buckets`` (footer stats
+    only)."""
     col = pf.schema_arrow.get_field_index("bucket")
     out = []
     for g in range(pf.metadata.num_row_groups):
@@ -101,7 +107,7 @@ def _bucket_row_groups(pf: pq.ParquetFile, bucket: int) -> list[int]:
         st = rg.column(col).statistics
         if st is None or st.min is None:
             out.append(g)  # stats missing: stay conservative
-        elif st.min <= bucket <= st.max:
+        elif any(b in buckets for b in range(st.min, st.max + 1)):
             out.append(g)
     return out
 
@@ -128,7 +134,7 @@ def launch_base(
         tables = []
         for path in paths:
             pf = pq.ParquetFile(path)
-            for g in _bucket_row_groups(pf, bucket):
+            for g in _bucket_row_groups(pf, {bucket}):
                 t = pf.read_row_group(g)
                 t = t.filter(pc.equal(t["bucket"], bucket))
                 if len(t):
@@ -141,13 +147,7 @@ def launch_base(
             order = pc.sort_indices(t, sort_keys=[("id", "ascending")])
             t = t.take(order)
         else:
-            t = pa.schema(
-                [
-                    ("id", pa.string()),
-                    ("docid", pa.uint64()),
-                    ("content_hash", pa.uint64()),
-                ]
-            ).empty_table()
+            t = _ROWS_SCHEMA.empty_table()
         tmp = out_path + ".tmp"
         pq.write_table(t, tmp, row_group_size=BASE_ROW_GROUP, compression="zstd")
         os.replace(tmp, out_path)
@@ -221,24 +221,20 @@ class IdHashProbe:
                 out.append(hit)
         return out
 
-    def _delta_probe(self, bucket: int, values: list[str]) -> list[pa.Table]:
+    def _delta_hits(self, buckets, vs: pa.Array) -> list[pa.Table]:
+        """Rows of the appended part files matching ``vs``: each file is
+        opened once, and the row groups whose ``bucket`` stats cover any
+        of ``buckets`` are read in one call."""
         out = []
-        vs = pa.array(sorted(values))
         for p in self.delta_parts:
             path = part_path(self.index_dir, p)
             if not os.path.exists(path):
                 continue
             pf = pq.ParquetFile(path)
-            for g in _bucket_row_groups(pf, bucket):
-                t = pf.read_row_group(g)
-                hit = t.filter(
-                    pc.and_(
-                        pc.equal(t["bucket"], bucket),
-                        pc.is_in(t["id"], value_set=vs),
-                    )
-                )
-                if len(hit):
-                    out.append(hit.drop_columns(["bucket"]))
+            t = pf.read_row_groups(_bucket_row_groups(pf, buckets))
+            hit = t.filter(pc.is_in(t["id"], value_set=vs))
+            if len(hit):
+                out.append(hit.drop_columns(["bucket"]))
         return out
 
     def lookup(self, values: list[str]) -> pa.Table:
@@ -251,15 +247,10 @@ class IdHashProbe:
         tables = []
         for b, vals in sorted(by_bucket.items()):
             tables.extend(self._base_probe(b, vals))
-            tables.extend(self._delta_probe(b, vals))
+        if by_bucket:
+            tables.extend(self._delta_hits(by_bucket.keys(), pa.array(values)))
         if not tables:
-            return pa.schema(
-                [
-                    ("id", pa.string()),
-                    ("docid", pa.uint64()),
-                    ("content_hash", pa.uint64()),
-                ]
-            ).empty_table()
+            return _ROWS_SCHEMA.empty_table()
         t = pa.concat_tables(tables)
         return t.take(pc.sort_indices(t, sort_keys=[("docid", "ascending")]))
 

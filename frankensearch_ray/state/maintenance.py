@@ -104,44 +104,40 @@ def _reencode_shards(
 
 
 def _encode_delta_shards(
-    index_dir: str, cfg: BuildConfig, new_pindices: list[int], generation: int
+    index_dir: str, new_pindices: list[int], generation: int
 ) -> list[dict]:
     """Encode ONLY the given partitions into generation-``g`` delta shard
     files — the per-commit segment model (``PLAN.md:272-291``): queries
     concat base + deltas in generation order; compaction merges back.
     Incremental cost is proportional to the appended batch, not the
-    index."""
-    import ray
-
+    index: each postings file's footer is read once, its row groups are
+    grouped by shard, and every shard is encoded and written in the
+    driver, in shard order (one commit's batch costs less to encode than
+    a task per shard costs to dispatch)."""
+    from ..build import shard_stat_of
     from ..stages.encode import encode_shard_table, write_shard
 
-    @ray.remote(num_cpus=1)
-    def one(shard_id: int):
-        tables = []
-        for p in new_pindices:
-            path = _part_paths(index_dir, p)["postings"] + ".parquet"
-            if not os.path.exists(path):
-                continue
-            pf = pq.ParquetFile(path)
-            col = pf.schema_arrow.get_field_index("shard")
-            from ..build import shard_stat_of
-
-            for g in range(pf.metadata.num_row_groups):
-                if shard_stat_of(pf, col, g, path) == shard_id:
-                    tables.append(pf.read_row_group(g))
-        if not tables:
-            return None
-        group = pa.concat_tables(tables).drop_columns(["shard"])
-        encoded = encode_shard_table(group)
-        return write_shard(
-            encoded,
-            os.path.join(index_dir, "shards"),
-            shard_id,
+    tables: dict[int, list[pa.Table]] = {}
+    for p in new_pindices:
+        path = _part_paths(index_dir, p)["postings"] + ".parquet"
+        if not os.path.exists(path):
+            continue
+        pf = pq.ParquetFile(path)
+        col = pf.schema_arrow.get_field_index("shard")
+        for g in range(pf.metadata.num_row_groups):
+            shard_id = shard_stat_of(pf, col, g, path)
+            if shard_id is not None:
+                tables.setdefault(shard_id, []).append(pf.read_row_group(g))
+    shards_dir = os.path.join(index_dir, "shards")
+    return [
+        write_shard(
+            encode_shard_table(pa.concat_tables(tables[s]).drop_columns(["shard"])),
+            shards_dir,
+            s,
             generation=generation,
         )
-
-    rows = ray.get([one.remote(s) for s in range(cfg.num_shards)])
-    return [r for r in rows if r is not None]
+        for s in sorted(tables)
+    ]
 
 
 def _rollup_and_publish(
@@ -158,7 +154,7 @@ def _rollup_and_publish(
     )
     next_gen = int(manifest.get("generation", 0)) + 1
     if new_pindices is not None:
-        shard_rows = _encode_delta_shards(index_dir, cfg, new_pindices, next_gen)
+        shard_rows = _encode_delta_shards(index_dir, new_pindices, next_gen)
         manifest["shards"] = list(manifest.get("shards", [])) + [
             dict(r) for r in shard_rows
         ]
@@ -271,17 +267,25 @@ def _cfg_of(manifest: dict) -> BuildConfig:
 def _tokenize_new_partitions(
     index_dir: str, manifest: dict, parts: list[dict], cfg: BuildConfig
 ) -> None:
-    import ray
-    import ray.data as rd
+    """Phase A for appended partitions, run in the driver: an append is
+    one partition, so the build's tokenizer is called on its part dict
+    directly, with no Ray Data pipeline around it."""
+    salt = manifest["salt"]
+    tokenizer = PhaseATokenizer(
+        index_dir, cfg, salt["salted_terms"], salt["partitions_per_bucket"]
+    )
+    for part in parts:
+        tokenizer._one(part)
 
-    salted = [(int(f), t) for f, t in manifest["salt"]["salted_terms"]]
-    ppb = manifest["salt"]["partitions_per_bucket"]
-    salted_ref = ray.put(salted)
-    rd.from_items(parts).map_batches(
-        PhaseATokenizer(index_dir, cfg, salted_ref, ppb),
-        batch_size=1,
-        batch_format="pyarrow",
-    ).take_all()
+
+def _check_columns(table: pa.Table, cfg: BuildConfig) -> None:
+    """Refuse a batch lacking the id or text column before anything of
+    it is written."""
+    for col in (cfg.id_col, cfg.html_col or cfg.content_col):
+        if col and col not in table.column_names:
+            raise ValueError(
+                f"batch lacks the {col!r} column (has {table.column_names})"
+            )
 
 
 def append_table(
@@ -300,9 +304,9 @@ def append_table(
     (tier merge / density-triggered compaction) after the append."""
     manifest = load_manifest(index_dir)
     cfg = _cfg_of(manifest)
-    id_col = cfg.id_col
+    _check_columns(table, cfg)
 
-    ids = table[id_col].to_pylist()
+    ids = table[cfg.id_col].to_pylist()
     if len(set(ids)) != len(ids):
         raise ValueError("append batch contains duplicate ids")
     live = _probe_ids(index_dir, manifest, ids)
@@ -425,9 +429,9 @@ def upsert_table(
     manifest = load_manifest(index_dir)
     manifest.setdefault("tombstones", [])
     cfg = _cfg_of(manifest)
-    id_col = cfg.id_col
+    _check_columns(table, cfg)
 
-    ids = table[id_col].to_pylist()
+    ids = table[cfg.id_col].to_pylist()
     if len(set(ids)) != len(ids):
         raise ValueError("upsert batch contains duplicate ids")
 

@@ -173,7 +173,9 @@ def _copy_base(maint_env, name: str) -> str:
 # --- append kills -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("kill", ["maint_append_tokenized", "maint_pre_publish"])
+@pytest.mark.parametrize(
+    "kill", ["phase_a", "phase_a_mid", "maint_append_tokenized", "maint_pre_publish"]
+)
 def test_append_kill_snapshot_and_convergence(maint_env, kill):
     root, _src, batch, base = maint_env
     before = _probe(base)

@@ -397,6 +397,40 @@ def test_job_append_rejected_batch_ends_with_json_error(ray_session, capsys, tmp
     assert s.search("dup", limit=10)["hits"] == []
 
 
+def test_job_append_batch_missing_column_ends_with_json_error(
+    ray_session, capsys, tmp_path
+):
+    """A source file without the content column stops `job append` with
+    one JSON error line naming the column, not a traceback; the earlier
+    file's batch stays applied and the bad batch writes nothing."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from frankensearch_ray import job
+
+    idx = _small_content_index(tmp_path, [("a", "alpha"), ("b", "beta")])
+    good = str(tmp_path / "good.parquet")
+    bad = str(tmp_path / "bad.parquet")
+    pq.write_table(_docs_table([("n1", "new one"), ("n2", "new two")]), good)
+    pq.write_table(_docs_table([("n3", "x")]).drop_columns(["text"]), bad)
+    rc = job.main(
+        ["append", "--source", good, bad, "--index-dir", idx,
+         "--id-col", "doc_id", "--batch-rows", "2"]
+    )
+    assert rc == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["command"] == "append"
+    assert "'text'" in err["error"]
+    assert (err["batches_applied"], err["docs_applied"]) == (1, 2)
+    assert err["source"] == bad
+    assert len(os.listdir(os.path.join(idx, "appended"))) == 1
+
+
 def test_job_watch_gives_up_on_unreadable_file(ray_session, capsys, tmp_path):
     """A file that never parses is marked seen after a fixed number of
     polls and listed under ``unreadable_files``; a torn file whose write

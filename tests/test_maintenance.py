@@ -112,6 +112,28 @@ class TestAppend:
             mnt.append_table(small_index, _pages_table([("d1", "changed")]))
 
 
+    @pytest.mark.parametrize("op", ["append", "upsert"])
+    @pytest.mark.parametrize("missing", ["url", "html"])
+    def test_batch_missing_column_rejected_before_write(
+        self, small_index, op, missing
+    ):
+        """A batch without the id or html column ends in a ValueError
+        naming the column, and nothing of it reaches the index tree."""
+        import os
+
+        d = small_index
+        appended = os.path.join(d, "appended")
+        before = sorted(os.listdir(appended)) if os.path.isdir(appended) else []
+        m0 = mnt.load_manifest(d)
+        batch = _pages_table([("d9", "missing column")]).drop_columns([missing])
+        fn = mnt.append_table if op == "append" else mnt.upsert_table
+        with pytest.raises(ValueError, match=repr(missing)):
+            fn(d, batch)
+        after = sorted(os.listdir(appended)) if os.path.isdir(appended) else []
+        assert after == before
+        assert mnt.load_manifest(d) == m0
+
+
 class TestDeleteUpsert:
     def test_delete_hides_doc_and_doc_count(self, small_index):
         d = small_index
@@ -302,6 +324,122 @@ class TestIdHash:
         for q, keep in cases.items():
             got = {(h["id"], h["docid"]) for h in s.search(q, limit=20)["hits"]}
             assert got == {r for r in rows if keep(r[0])}, q
+
+
+    def test_lookup_matches_idmap_reference_over_many_appends(self, small_index):
+        """``IdHashProbe.lookup`` over a base plus 12 appended partitions
+        ≡ the idmap sidecar rows for the asked ids, docid-ascending,
+        including re-added and upsert-tombstoned rows; ``_probe_ids``
+        then keeps only each id's newest live row."""
+        import os
+
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
+        from frankensearch_ray.state.idhash import IdHashProbe, bucket_of
+
+        d = small_index
+        for i in range(10):
+            mnt.append_table(
+                d,
+                _pages_table([(f"n{i}-{j}", f"batch{i} row{j}") for j in range(6)]),
+                auto_maintain=False,
+            )
+        # one id re-added in a later partition, one base id upserted
+        mnt.delete_documents(d, ["n2-3"], auto_maintain=False)
+        mnt.append_table(d, _pages_table([("n2-3", "readded")]), auto_maintain=False)
+        mnt.upsert_table(d, _pages_table([("d3", "a new d3")]), auto_maintain=False)
+        m = mnt.load_manifest(d)
+        pindices = [p["index"] for p in m["partitions"]]
+        probe = IdHashProbe(d, m["idhash"], pindices)
+        assert len(probe.delta_parts) >= 10
+        ref = pa.concat_tables(
+            pq.read_table(
+                os.path.join(d, "idmap", f"part-{p:05d}.parquet"),
+                columns=["id", "docid", "content_hash"],
+            )
+            for p in pindices
+        )
+
+        def expected(ids):
+            t = ref.filter(pc.is_in(ref["id"], value_set=pa.array(ids, pa.string())))
+            return sorted(
+                zip(*(t[c].to_pylist() for c in ("id", "docid", "content_hash"))),
+                key=lambda r: r[1],
+            )
+
+        def got(ids):
+            t = probe.lookup(ids)
+            cols = ("id", "docid", "content_hash")
+            assert sorted(t.schema.names) == sorted(cols)
+            return list(zip(*(t[c].to_pylist() for c in cols)))
+
+        spread = [f"n{i}-{j}" for i in range(10) for j in range(6)] + ["d1", "d4"]
+        assert len({bucket_of(i) for i in spread}) >= 20
+        cases = {
+            "spread": spread,
+            "absent": ["nope", "n99-0", "d0"],
+            "readded": ["n2-3"],
+            "upserted": ["d3", "absent-too"],
+            "empty": [],
+        }
+        for name, ids in cases.items():
+            assert got(ids) == expected(ids), name
+        assert got(cases["absent"]) == [] and got([]) == []
+
+        readded = got(["n2-3"])
+        assert len(readded) == 2 and readded[0][1] < readded[1][1]
+        upserted = got(["d3"])
+        assert len(upserted) == 2
+        tomb = set(m["tombstones"])
+        assert upserted[0][1] in tomb and upserted[1][1] not in tomb
+        live = mnt._probe_ids(d, m, ["n2-3", "d3", "nope"])
+        assert live == {
+            "n2-3": (readded[1][1], readded[1][2]),
+            "d3": (upserted[1][1], upserted[1][2]),
+        }
+
+
+class TestCommitWithoutRay:
+    def test_append_upsert_delete_dispatch_nothing_to_ray(self, small_index):
+        """A commit without maintenance tokenizes, encodes and probes in
+        the calling process: it runs where no Ray session was started."""
+        import os
+        import subprocess
+        import sys
+
+        script = """
+import sys, ray
+from frankensearch_ray.search.searcher import LocalSearcher
+from frankensearch_ray.state import maintenance as mnt
+from tests.test_maintenance import _pages_table as pages
+
+d = sys.argv[1]
+mnt.append_table(d, pages([("n1", "quokka appended")]), auto_maintain=False)
+mnt.upsert_table(d, pages([("d2", "wombat revised"), ("n2", "wombat fresh")]), auto_maintain=False)
+mnt.delete_documents(d, ["d1"], auto_maintain=False)
+assert not ray.is_initialized(), "a commit started Ray"
+s = LocalSearcher(d)
+hit = lambda q: sorted(h["id"] for h in s.search(q, limit=10)["hits"])
+assert hit("quokka") == ["n1"], hit("quokka")
+assert hit("wombat") == ["d2", "n2"], hit("wombat")
+assert hit("epsilon") == [], hit("epsilon")  # d2's old text
+assert "d1" not in hit("alpha"), hit("alpha")
+assert not ray.is_initialized(), "a search started Ray"
+print("ok")
+"""
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+        p = subprocess.run(
+            [sys.executable, "-c", script, small_index],
+            cwd=repo,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert p.returncode == 0, p.stderr[-3000:]
+        assert p.stdout.strip().endswith("ok")
 
 
 class TestTieredMerge:

@@ -21,14 +21,21 @@ category ``L*``; the ~1k ``Other_Alphabetic`` combining marks are treated
 as separators here.
 
 Two implementations, parity-tested against each other on every corpus:
-``analyze_default_scalar`` (the readable per-char reference) and
-``tokenize_column`` (the vectorized Arrow hot path used by the Ray build:
-ASCII rows go through ``pyarrow.compute`` C++ kernels, the rare non-ASCII
-rows through the scalar reference).
+``analyze_default_scalar`` (the per-text path used by queries, snippets
+and the oracle) and ``tokenize_column`` (the vectorized Arrow hot path
+used by the Ray build: ASCII rows go through ``pyarrow.compute`` C++
+kernels, the rare non-ASCII rows through the scalar reference).
+
+``analyze_default_scalar`` itself has two paths: ASCII text is one pass of
+the compiled ``[A-Za-z0-9]+`` regex (the contract's ASCII predicate, and
+character offsets equal byte offsets there), and any other text walks
+``_analyze_chars``, the readable per-character reference.  A differential
+test pins the regex path to the reference on ASCII input.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 
 import numpy as np
@@ -38,6 +45,7 @@ import pyarrow.compute as pc
 MAX_TERM_BYTES = 65_530  # grimoire.rs:22 — global term admission ceiling
 
 _ASCII_SPLIT_PATTERN = "[^a-z0-9]+"
+_ASCII_TOKEN_RE = re.compile("[A-Za-z0-9]+")
 
 # Non-ASCII rows vectorize through RE2 [\p{L}\p{Nd}\p{Nl}\p{No}] runs +
 # utf8proc lowercasing, which agree with the scalar contract on every
@@ -60,11 +68,23 @@ def _char_is_alphanumeric(ch: str) -> bool:
 
 
 def analyze_default_scalar(text: str):
-    """Reference tokenizer: yields ``(token, position, byte_from, byte_to)``.
+    """Scalar tokenizer: ``[(token, position, byte_from, byte_to), ...]``.
 
     Mirrors ``analyze_default_scalar_reference`` (``scribe.rs:742-786``);
-    admission (MAX_TERM_BYTES) is NOT applied here — see ``admit``.
+    admission (MAX_TERM_BYTES) is NOT applied here — see
+    ``analyze_admitted_scalar``.  ASCII text takes one regex pass; other
+    text the per-character reference ``_analyze_chars``.
     """
+    if text.isascii():
+        return [
+            (m.group().lower(), i, m.start(), m.end())
+            for i, m in enumerate(_ASCII_TOKEN_RE.finditer(text))
+        ]
+    return _analyze_chars(text)
+
+
+def _analyze_chars(text: str):
+    """The per-character reference walk (any text, ASCII included)."""
     out = []
     position = 0
     byte_off = 0

@@ -192,6 +192,16 @@ def _cmd_append(args: argparse.Namespace) -> int:
         for rb in pf.iter_batches(batch_size=args.batch_rows):
             t = pa.Table.from_batches([rb])
             idx = t.schema.get_field_index(args.id_col)
+            if idx < 0:
+                _error(
+                    "append",
+                    f"source has no id column {args.id_col!r}",
+                    index_dir=args.index_dir,
+                    source=path,
+                    batches_applied=batches,
+                    docs_applied=appended,
+                )
+                return 1
             if not pa.types.is_string(t.schema.field(idx).type):
                 t = t.set_column(
                     idx, args.id_col, pc.cast(t[args.id_col], pa.string())

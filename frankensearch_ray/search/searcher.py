@@ -490,6 +490,8 @@ class LocalSearcher:
         # permanently inflated _pos_cache_bytes without this)
         self._pos_lock = threading.Lock()
         self._idmap_cache: dict[int, pa.Table] = {}
+        # sealed partition -> its source footer (snippet hydration)
+        self._source_meta: dict[int, tuple] = {}
         self._stored_cache: dict[int, pa.Table] = {}
         self._idmap_paths = {
             p["index"]: os.path.join(index_dir, "idmap", f"part-{p['index']:05d}.parquet")
@@ -1543,47 +1545,63 @@ class LocalSearcher:
 
     # --- snippets ----------------------------------------------------------
 
-    def _source_text(self, docid: int) -> str:
-        """Hydrate a winner's content text from the canonical source parquet
-        (two-phase materialization, ``index.rs:7997-8013``): docid -> manifest
-        partition lineage -> row-group-pruned read of one row."""
-        p = int(docid) >> PARTITION_SHIFT
-        r = int(docid) & ROW_MASK
-        if self._overlay is not None and p in self._overlay.sources:
-            src_t, html_mode = self._overlay.sources[p]
-            raw = src_t[r]
-            if html_mode:
-                from ..sources.extract import extract_scalar
+    def _source_layout(self, p: int) -> tuple:
+        """``(path, FileMetaData, rg_start, first row of each row group)``
+        of sealed partition ``p``'s source, parsed once per searcher.  Only
+        the footer is kept, never an open file handle."""
+        got = self._source_meta.get(p)
+        if got is None:
+            from ..build import resolve_index_path
 
-                html = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-                _title, text = extract_scalar(html)
-                return text
-            return raw or ""
-        entry = self.manifest["partitions"][p]
-        assert entry["index"] == p, "manifest partitions must be docid-ordered"
-        src = entry["source"]
+            entry = self.manifest["partitions"][p]
+            assert entry["index"] == p, "manifest partitions must be docid-ordered"
+            src = entry["source"]
+            path = resolve_index_path(src["path"], self.index_dir)
+            md = pq.ParquetFile(path).metadata
+            rows = [md.row_group(g).num_rows for g in range(src["rg_start"], src["rg_end"])]
+            starts = np.concatenate(([0], np.cumsum(rows, dtype=np.int64)[:-1]))
+            got = self._source_meta[p] = (path, md, src["rg_start"], starts)
+        return got
+
+    def _source_texts(self, docids: list[int]) -> list[str]:
+        """Hydrate winners' content text from the canonical source parquet
+        (two-phase materialization, ``index.rs:7997-8013``): docid ->
+        manifest partition lineage -> (partition, row group, row).  Hits are
+        grouped by (partition, row group) and each group's content column
+        is decoded once per call; live-overlay partitions are served from
+        memory.  Nothing decoded outlives the call."""
+        from ..sources.extract import extract_scalar
+
         cfg = self.manifest["config"]
-        from ..build import resolve_index_path
-
-        pf = pq.ParquetFile(resolve_index_path(src["path"], self.index_dir))
-        # locate the row group holding partition-relative row r
-        rg = src["rg_start"]
-        while rg < src["rg_end"]:
-            n = pf.metadata.row_group(rg).num_rows
-            if r < n:
-                break
-            r -= n
-            rg += 1
         col = cfg.get("html_col") or cfg.get("content_col")
-        t = pf.read_row_groups([rg], columns=[col])
-        raw = t[col][r].as_py()
-        if cfg.get("html_col"):
-            from ..sources.extract import extract_scalar
-
-            html = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-            _title, text = extract_scalar(html)
-            return text
-        return raw or ""
+        raws: list = [None] * len(docids)
+        html = [bool(cfg.get("html_col"))] * len(docids)
+        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for i, docid in enumerate(docids):
+            p = int(docid) >> PARTITION_SHIFT
+            r = int(docid) & ROW_MASK
+            if self._overlay is not None and p in self._overlay.sources:
+                src_rows, html[i] = self._overlay.sources[p]
+                raws[i] = src_rows[r]
+                continue
+            _path, _md, rg_start, starts = self._source_layout(p)
+            g = int(np.searchsorted(starts, r, side="right")) - 1
+            groups.setdefault((p, rg_start + g), []).append((i, r - int(starts[g])))
+        for (p, rg), rows in groups.items():
+            path, md, _rg_start, _starts = self._source_layout(p)
+            column = pq.ParquetFile(path, metadata=md).read_row_groups(
+                [rg], columns=[col], use_threads=False
+            )[col]
+            for i, row in rows:
+                raws[i] = column[row].as_py()
+        out = []
+        for raw, html_mode in zip(raws, html):
+            if html_mode:
+                doc = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+                out.append(extract_scalar(doc)[1])
+            else:
+                out.append(raw or "")
+        return out
 
     def _query_terms_df(self, node) -> dict[str, int]:
         """Analyzed content-field terms of a query AST with snapshot df."""
@@ -1616,12 +1634,14 @@ class LocalSearcher:
 
     def snippets_for(self, query: str, hits: list[dict], max_chars: int = 200):
         """Highlighted snippet per hit (``None`` where no term occurs in the
-        content field) — driver-side over the tiny winner set."""
+        content field), computed in the calling process over the tiny winner
+        set, with one decode per distinct source row group of the hits."""
         from .snippet import SnippetGenerator
 
         parsed = parse_default(query, analyze=self._query_analyze)
         gen = SnippetGenerator(self._query_terms_df(parsed.query), max_chars)
-        return [gen.snippet(self._source_text(h["docid"])) for h in hits]
+        texts = self._source_texts([h["docid"] for h in hits])
+        return [gen.snippet(t) for t in texts]
 
     # --- public API --------------------------------------------------------
 

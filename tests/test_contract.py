@@ -184,6 +184,54 @@ class TestAnalyzer:
             expected = [(t[0], t[1]) for t in an.analyze_admitted_scalar(text)]
             assert got.get(i, []) == expected, f"row {i}: {text[:60]!r}"
 
+    def test_ascii_regex_path_matches_char_loop(self, monkeypatch):
+        """The ASCII regex path of ``analyze_default_scalar`` is a second
+        implementation of the per-character reference: same tokens,
+        positions and byte offsets on every ASCII input."""
+        import random
+
+        from frankensearch_ray.sources import pages
+
+        texts = [t for _id, t in pages._BUILTIN_EDGE_CASES if t.isascii()]
+        texts += ["x" * (an.MAX_TERM_BYTES + 7), "A-1 b_2 C3d\x7fe\x00f"]
+        rng = random.Random(20261019)
+        alphabet = (
+            "abcxyzABCXYZ0189"
+            + " .,;:!?-_/'\"<>&()[]{}#@*+=|~`^$%\\"
+            + "".join(map(chr, range(32)))
+            + "\x7f"
+        )
+        texts += [
+            "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 48)))
+            for _ in range(3000)
+        ]
+        loop_calls = []
+        monkeypatch.setattr(
+            an, "_analyze_chars", lambda t: loop_calls.append(t) or []
+        )
+        fast = [an.analyze_default_scalar(t) for t in texts]
+        monkeypatch.undo()
+        slow = [an._analyze_chars(t) for t in texts]
+        assert loop_calls == []  # every ASCII input took the regex path
+        for text, f, r in zip(texts, fast, slow):
+            assert f == r, repr(text[:60])
+
+    def test_non_ascii_takes_char_loop(self, monkeypatch):
+        texts = ["İstanbul DİNÇ ok", "ÉCLAIR 東京 abc", "rust 🦀 crab", "x\u0130y"]
+        expected = [an._analyze_chars(t) for t in texts]
+        seen = []
+        loop = an._analyze_chars
+
+        def spy(text):
+            seen.append(text)
+            return loop(text)
+
+        monkeypatch.setattr(an, "_analyze_chars", spy)
+        assert [an.analyze_default_scalar(t) for t in texts] == expected
+        assert seen == texts
+        # U+0130 (2 source bytes) lowercases to "i" + U+0307
+        assert an.analyze_default_scalar("İ")[0] == ("i\u0307", 0, 0, 2)
+
     def test_cass_fixture_cases(self, language_contract):
         for case in language_contract["analyzer_cases"]:
             if case["analyzer"] not in ("hyphen_normalize", "prefix_normalize"):

@@ -431,6 +431,48 @@ def test_job_append_batch_missing_column_ends_with_json_error(
     assert len(os.listdir(os.path.join(idx, "appended"))) == 1
 
 
+def test_job_append_missing_id_column_ends_with_json_error(
+    ray_session, capsys, tmp_path
+):
+    """A source file without the ``--id-col`` column stops `job append`
+    with one JSON error line naming the file and the column; the schema's
+    field-index miss (-1) must not be read as its last column."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from frankensearch_ray import job
+
+    idx = _small_content_index(tmp_path, [("a", "alpha"), ("b", "beta")])
+    src = str(tmp_path / "no_id.parquet")
+    pq.write_table(
+        pa.table(
+            {
+                "text": pa.array(["gamma", "delta"], pa.string()),
+                "n": pa.array([1, 2], pa.int64()),
+            }
+        ),
+        src,
+    )
+    rc = job.main(
+        ["append", "--source", src, "--index-dir", idx, "--id-col", "doc_id"]
+    )
+    assert rc == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["command"] == "append"
+    assert "'doc_id'" in err["error"]
+    assert err["source"] == src
+    assert (err["batches_applied"], err["docs_applied"]) == (0, 0)
+    assert not os.path.exists(os.path.join(idx, "appended")) or not os.listdir(
+        os.path.join(idx, "appended")
+    )
+
+
 def test_job_watch_gives_up_on_unreadable_file(ray_session, capsys, tmp_path):
     """A file that never parses is marked seen after a fixed number of
     polls and listed under ``unreadable_files``; a torn file whose write

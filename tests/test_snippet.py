@@ -7,6 +7,8 @@ Reference: ``quill/src/snippet.rs`` semantics + the
 
 from __future__ import annotations
 
+import pytest
+
 from frankensearch_ray.search.snippet import SnippetGenerator, escape_html
 
 
@@ -164,3 +166,136 @@ def test_snippets_contract_entry_detects_violations(ray_session, monkeypatch):
     bad = dsx.search_snippets_contract(sf)
     assert set(bad["is_substring"].to_pylist()) == {0}
     assert set(bad["marks_are_terms"].to_pylist()) == {0}
+
+
+_WORDS = "alpha beta gamma delta epsilon zeta theta kappa lambda sigma".split()
+
+
+def _hydration_text(k: int) -> str:
+    """A few hundred bytes; ``needle`` in every doc but each fifth, at a
+    doc-dependent place, so fragments differ from doc to doc."""
+    words = [_WORDS[(k * 7 + j) % len(_WORDS)] for j in range(60)]
+    if k % 5:
+        words.insert((k * 11) % 50, "needle")
+    return f"doc {k} " + " ".join(words)
+
+
+def _hydration_table(keys, html: bool, text_of=_hydration_text):
+    import pyarrow as pa
+
+    from frankensearch_ray.sources.extract import render_page
+
+    cols = {"url": pa.array([f"doc-{k:02d}" for k in keys], pa.string())}
+    if html:
+        cols["html"] = pa.array(
+            [render_page(f"title {k}", text_of(k)).encode() for k in keys],
+            pa.binary(),
+        )
+    cols["text"] = pa.array([text_of(k) for k in keys], pa.string())
+    return pa.table(cols)
+
+
+class TestHydration:
+    """Snippet hydration reads each distinct source row group of a query's
+    hits once: file A (12 rows, row groups of 4) packs into partitions
+    [rg0, rg1] and [rg2], file B (8 rows) into one [rg0, rg1], so a
+    query's hits span all three partitions, several to a row group."""
+
+    QUERY = "needle"
+
+    @staticmethod
+    def _build(root, html: bool):
+        import pyarrow.parquet as pq
+
+        from frankensearch_ray.build import BuildConfig, build_index
+
+        where = {}  # doc id -> (source file rows, row group in that file)
+        paths = []
+        for name, keys in (("a", range(0, 12)), ("b", range(12, 20))):
+            path = str(root / f"src-{name}.parquet")
+            pq.write_table(_hydration_table(keys, html), path, row_group_size=4)
+            paths.append(path)
+            for i, k in enumerate(keys):
+                where[f"doc-{k:02d}"] = (len(keys), i // 4)
+        d = str(root / "idx")
+        cfg = BuildConfig(
+            id_col="url",
+            html_col="html" if html else None,
+            content_col=None if html else "text",
+            verify_text_col="text" if html else None,
+            num_shards=2,
+            salt_threshold=10**9,
+            target_partition_rows=8,
+        )
+        build_index(paths, d, cfg, resume=False)
+        return d, where
+
+    @staticmethod
+    def _reference(s, hits, source_of):
+        from frankensearch_ray.contract.parser import parse_default
+        from frankensearch_ray.sources.extract import extract_scalar
+
+        parsed = parse_default(TestHydration.QUERY)
+        g = SnippetGenerator(s._query_terms_df(parsed.query))
+        out = []
+        for h in hits:
+            raw = source_of[h["id"]]
+            text = extract_scalar(raw.decode())[1] if isinstance(raw, bytes) else raw
+            out.append(g.snippet(text))
+        return out
+
+    @staticmethod
+    def _counted_snippets(monkeypatch, s, hits):
+        import pyarrow.parquet as pq
+
+        reads = []
+        orig = pq.ParquetFile.read_row_groups
+
+        def counting(self, row_groups, *a, **kw):
+            reads.append((self.metadata.num_rows, tuple(row_groups)))
+            return orig(self, row_groups, *a, **kw)
+
+        monkeypatch.setattr(pq.ParquetFile, "read_row_groups", counting)
+        snips = s.snippets_for(TestHydration.QUERY, hits)
+        monkeypatch.undo()
+        return snips, reads
+
+    @pytest.mark.parametrize("html", [True, False], ids=["html", "content"])
+    def test_one_read_per_row_group(self, ray_session, tmp_path, monkeypatch, html):
+        from frankensearch_ray.schema import PARTITION_SHIFT
+        from frankensearch_ray.search.searcher import LocalSearcher
+        from frankensearch_ray.state.live import LiveIndex
+
+        d, where = self._build(tmp_path, html)
+        col = "html" if html else "text"
+        t = _hydration_table(range(20), html)
+        source_of = dict(zip(t["url"].to_pylist(), t[col].to_pylist()))
+
+        s = LocalSearcher(d)
+        hits = s.search(self.QUERY, limit=30)["hits"]
+        assert len({h["docid"] >> PARTITION_SHIFT for h in hits}) == 3
+        pairs = {where[h["id"]] for h in hits}
+        assert len(pairs) < len(hits)  # several hits share a row group
+        snips, reads = self._counted_snippets(monkeypatch, s, hits)
+        assert snips == self._reference(s, hits, source_of)
+        assert any(snips)
+        assert sorted(reads) == sorted((n, (g,)) for n, g in pairs)
+
+        # live overlay: replaced and new docs hydrate from memory, the
+        # sealed hits still cost one read per row group
+        def fresh(k):
+            return f"fresh {k} needle " + _hydration_text(k)
+
+        li = LiveIndex(d)
+        upd = _hydration_table([3, 30, 31], html, text_of=fresh)
+        li.upsert(upd)
+        for ext, raw in zip(upd["url"].to_pylist(), upd[col].to_pylist()):
+            source_of[ext] = raw
+            where.pop(ext, None)
+        hits = li.search(self.QUERY, limit=30)["hits"]
+        live = [h for h in hits if h["id"] in ("doc-03", "doc-30", "doc-31")]
+        assert len(live) == 3
+        pairs = {where[h["id"]] for h in hits if h["id"] in where}
+        snips, reads = self._counted_snippets(monkeypatch, li.searcher, hits)
+        assert snips == self._reference(li.searcher, hits, source_of)
+        assert sorted(reads) == sorted((n, (g,)) for n, g in pairs)

@@ -202,13 +202,11 @@ def run_default() -> None:
         ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False)
     # fresh pipeline cache so build cost is measured, not skipped
     cache = tempfile.mkdtemp(prefix="fsray_bench_cache_")
-    os.environ["FSRAY_CACHE"] = cache
 
     import __ray_entry__ as entrymod
-    from frankensearch_ray.pipelines import ann, docsearch
+    from frankensearch_ray import pipelines
 
-    docsearch.CACHE_ROOT = cache
-    ann.CACHE_ROOT = cache  # knn entries then pay their layout build too
+    pipelines.CACHE_ROOT = cache
 
     # pay cluster-wide lazy-init (worker spawns, module imports, Ray Data
     # stats actor) before the first timed entry, as _warm_workers does for

@@ -33,7 +33,6 @@ the engine term-for-term.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -41,15 +40,14 @@ import pyarrow.parquet as pq
 
 from ..contract.analyzer import build_preview
 from ..contract.cass import CassQueryFilters, parse_cass
+from . import cache_path
 
-CACHE_ROOT = os.environ.get("FSRAY_CACHE", "/tmp/fsray_entry")
 EPOCH0 = 1_700_000_000
 
 
 def derive_cass_source(sf_dir: str) -> str:
     src = os.path.join(sf_dir, "documents.parquet")
-    tag = Path(sf_dir).name or "sf"
-    out = os.path.join(CACHE_ROOT, tag, "cass_source.parquet")
+    out = cache_path(sf_dir, "cass_source.parquet")
     os.makedirs(os.path.dirname(out), exist_ok=True)
     if os.path.exists(out) and os.path.getmtime(out) >= os.path.getmtime(src):
         return out
@@ -111,8 +109,7 @@ def cass_index(sf_dir: str) -> str:
     from ..build import BuildConfig, build_index, cached_manifest, publish_manifest
 
     src = derive_cass_source(sf_dir)
-    tag = Path(sf_dir).name or "sf"
-    index_dir = os.path.join(CACHE_ROOT, tag, "cass_idx")
+    index_dir = cache_path(sf_dir, "cass_idx")
     m = cached_manifest(index_dir)
     if m.get("source_mtime") == os.path.getmtime(src):
         return index_dir

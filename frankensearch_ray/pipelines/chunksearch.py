@@ -26,7 +26,6 @@ the oracle recomputes it in f64 and compares (chunk_id, rank).
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -41,14 +40,13 @@ from ..contract.query_ast import (
     RangeI64,
     Term,
 )
-from .cassearch import CACHE_ROOT
+from . import cache_path
 from .chunks import chunk_text
 
 
 def derive_chunk_source(sf_dir: str) -> str:
     src = os.path.join(sf_dir, "documents.parquet")
-    tag = Path(sf_dir).name or "sf"
-    out = os.path.join(CACHE_ROOT, tag, "fsfs_chunk_source.parquet")
+    out = cache_path(sf_dir, "fsfs_chunk_source.parquet")
     os.makedirs(os.path.dirname(out), exist_ok=True)
     if os.path.exists(out) and os.path.getmtime(out) >= os.path.getmtime(src):
         return out
@@ -90,8 +88,7 @@ def chunk_index(sf_dir: str) -> str:
     from ..build import BuildConfig, build_index, cached_manifest, publish_manifest
 
     src = derive_chunk_source(sf_dir)
-    tag = Path(sf_dir).name or "sf"
-    index_dir = os.path.join(CACHE_ROOT, tag, "fsfs_idx")
+    index_dir = cache_path(sf_dir, "fsfs_idx")
     m = cached_manifest(index_dir)
     if m.get("source_mtime") == os.path.getmtime(src):
         return index_dir

@@ -1116,24 +1116,19 @@ def dup_routes_layout(
     import json
     import shutil
     import uuid
-    from pathlib import Path
 
     import pyarrow.parquet as pq
     import ray.data as rd
 
     from ..stages.tokenize import hash64_column
-    from . import ann as _ann
+    from . import cache_path
 
     path = _doc_path(sf_dir)
     if n_shards is None:
         n_shards = max(4, math.ceil(_parquet_num_rows(path) / 8192))
     K = n_shards
-    tag = Path(sf_dir.rstrip("/")).name or "sf"
-    out_dir = os.path.join(
-        _ann.CACHE_ROOT,
-        tag,
-        "dup_idx",
-        f"routes_n{n}_k{K}_{id_col}_{text_col}",
+    out_dir = cache_path(
+        sf_dir, "dup_idx", f"routes_n{n}_k{K}_{id_col}_{text_col}"
     )
     data_dir = os.path.join(out_dir, "data")
     meta_path = os.path.join(out_dir, "meta.json")

@@ -1,5 +1,4 @@
-"""Deduplication pipelines: exact, n-gram Jaccard, MinHash-LSH, SimHash,
-embedding cosine.
+"""Deduplication pipelines: exact, n-gram Jaccard, MinHash-LSH, SimHash.
 
 Training-data-pipeline operators over a documents table, Ray-Data-first:
 
@@ -17,9 +16,7 @@ Training-data-pipeline operators over a documents table, Ray-Data-first:
   recall; verified precision = 1);
 - simhash: 64-bit simhash per doc; near-dup pairs blocked per
   ``(band, key % shards)`` on 4 x 16-bit sub-bands (pigeonhole: any
-  pair within hamming distance 3 shares at least one exact band);
-- embedding_cosine: broadcast normalized matrix, block-row matmuls,
-  upper-triangle pairs above a cosine threshold.
+  pair within hamming distance 3 shares at least one exact band).
 
 Scale notes: shuffles are keyed on hash / shingle-bucket /
 ``(band, hash-residue)`` composites whose cardinality SCALES with the
@@ -509,29 +506,25 @@ def pair_graph_layout(
 ) -> tuple[str, int]:
     """Build-or-reuse the near-dup EDGE artifact: the exact ngram-Jaccard
     pair set of :func:`_ngram_pairs_ds` streamed to parquet once per
-    (corpus, params) — the same build-once discipline as the ANN layouts
-    (``ann.ivf_layout``).  A 100 TB dedup job computes its set-similarity
-    join ONCE and feeds every consumer (pair report, cluster labeling,
-    representative selection) from the artifact; re-running the join per
-    consumer triples the most expensive exchange in the whole pipeline.
+    (corpus, params) under the pipelines' ``CACHE_ROOT``.  A 100 TB dedup
+    job computes its set-similarity join ONCE and feeds every consumer
+    (pair report, cluster labeling, representative selection) from the
+    artifact; re-running the join per consumer triples the most
+    expensive exchange in the whole pipeline.
 
     Returns ``(data_dir, n_pairs)``; the count comes from parquet footers
     (no data read), so consumers can pick a component-solver mode and
     handle the empty graph without materializing anything.  Writes are
     atomic (temp dir + rename) and keyed on source mtime + parameters,
     matching the crash/resume discipline of the lexical index."""
-    from . import ann as _ann
+    from . import cache_path
 
     if n_buckets is None:
         n_buckets = _scaled_shards(
             _parquet_num_rows(_doc_path(sf_dir)), 512, floor=64
         )
-    from pathlib import Path
-
-    tag = Path(sf_dir.rstrip("/")).name or "sf"
-    out_dir = os.path.join(
-        _ann.CACHE_ROOT,
-        tag,
+    out_dir = cache_path(
+        sf_dir,
         "dedup_idx",
         f"pairs_{metric}_t{int(round(threshold * 1000))}_k{k}_c{shingle_df_cap}"
         f"_b{n_buckets}_{id_col}_{text_col}",
@@ -997,7 +990,10 @@ def dedup_clusters(
         )
     if mode == "auto":
         mode = "local" if n_edges <= local_edge_budget else "bsp"
-    labels_final = _endpoint_labels(pairs_dir, K, mode, max_iters)
+    # materialized before the union: the labels are dup-proportional, and
+    # with this Repartition branch left lazy the merge exchange makes no
+    # progress in a one-CPU session
+    labels_final = _endpoint_labels(pairs_dir, K, mode, max_iters).materialize()
     # final merge: endpoint labels ∪ identity labels, per-node min
     return _merge_cluster_labels(labels_final, all_docs, K)
 
@@ -1927,190 +1923,4 @@ def simhash_pairs(
     out["doc_a"] = out["doc_a"].astype(np.int64)
     out["doc_b"] = out["doc_b"].astype(np.int64)
     out["hamming"] = out["hamming"].astype(np.int64)
-    return pa.Table.from_pandas(out, preserve_index=False)
-
-
-# --- embedding-cosine near-dup ---------------------------------------------
-
-
-_EMPTY_COSINE = {
-    "id_a": pa.array([], pa.int64()),
-    "id_b": pa.array([], pa.int64()),
-    "cosine_permille": pa.array([], pa.int64()),
-}
-
-
-def embedding_cosine_pairs(
-    sf_dir: str,
-    threshold: float = 0.5,
-    id_col: str = "vec_id",
-    emb_col: str = "embedding",
-    mode: str = "bucketed",
-    n_clusters: int | None = None,
-    n_assign: int = 4,
-) -> pa.Table:
-    """Near-duplicate pairs by embedding cosine similarity >= threshold.
-
-    ``mode="bucketed"`` (the default, the 100 TB shape): k-means-lite
-    centroids from a distributed stride sample; every vector is assigned
-    to its ``n_assign`` nearest centroids inside ``map_batches``; pairs
-    are generated by within-cluster matmuls after a ``groupby(cluster)``
-    exchange — compute is O(sum cluster²), never all-pairs, and nothing
-    is broadcast.  A pair is found when the two vectors share ANY of
-    their assigned clusters (multi-probe); recall vs the exact kernel is
-    pytest-gated.
-
-    ``mode="exact"`` keeps the all-pairs block-matmul as the test oracle.
-    """
-    import ray
-    import ray.data as rd
-
-    import pyarrow.parquet as pq
-
-    emb_path = os.path.join(sf_dir, "embeddings.parquet")
-
-    if mode == "exact":
-        full = pq.read_table(emb_path, columns=[id_col, emb_col])
-        all_ids = full[id_col].to_numpy()
-        flat = full[emb_col].combine_chunks().values.to_numpy(
-            zero_copy_only=False
-        ).astype(np.float64)
-        dim = len(flat) // len(all_ids)
-        mat = flat.reshape(len(all_ids), dim)
-        norms = np.linalg.norm(mat, axis=1)
-        norms[norms == 0] = 1.0
-        matn = mat / norms[:, None]
-        ref = ray.put((all_ids, matn))
-
-        def block(batch: pa.Table) -> pa.Table:
-            ids_all, m = ray.get(ref)
-            ids = batch[id_col].to_numpy()
-            rows = np.searchsorted(ids_all, ids)
-            sims = m[rows] @ m.T
-            out_a, out_b, out_s = [], [], []
-            for r, a in enumerate(ids):
-                hit = np.flatnonzero(sims[r] >= threshold)
-                bs = ids_all[hit]
-                keep = bs > a
-                out_a.extend([int(a)] * int(keep.sum()))
-                out_b.extend(int(x) for x in bs[keep])
-                out_s.extend(
-                    int(np.floor(s * 1000 + 1e-9)) for s in sims[r][hit][keep]
-                )
-            return pa.table(
-                {
-                    "id_a": pa.array(out_a, pa.int64()),
-                    "id_b": pa.array(out_b, pa.int64()),
-                    "cosine_permille": pa.array(out_s, pa.int64()),
-                }
-            )
-
-        out = (
-            rd.read_parquet(emb_path, columns=[id_col])
-            .map_batches(block, batch_format="pyarrow")
-            .to_pandas()
-        )
-        if len(out) == 0:
-            return pa.table(_EMPTY_COSINE)
-        out = out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    # --- bucketed (default) ---
-    if n_clusters is None:
-        # ~sqrt(n)/4 clusters, floor 16: within-cluster matmul cost stays
-        # O(n^1.5) while per-cluster group size shrinks as the corpus grows
-        n_clusters = max(
-            16, math.ceil(math.sqrt(_parquet_num_rows(emb_path) / 16))
-        )
-
-    # shared per-corpus centroid artifact (VERDICT r03 #1): the same
-    # cached k-means estimation knn_ivf probes — never re-derived per call
-    from .ann import ann_centroids
-
-    cents = ann_centroids(sf_dir, n_clusters, id_col=id_col, emb_col=emb_col)
-    cn = np.linalg.norm(cents, axis=1, keepdims=True)
-    cn[cn == 0] = 1.0
-    cents_ref = ray.put(cents)
-    n_assign = min(n_assign, len(cents))
-
-    def assign(batch: pa.Table) -> pa.Table:
-        cents_ = ray.get(cents_ref)
-        ids = batch[id_col].to_numpy()
-        if len(ids) == 0:
-            return pa.table(
-                {
-                    "cluster": pa.array([], pa.int32()),
-                    "vid": pa.array([], pa.int64()),
-                    "vec": pa.array([], pa.list_(pa.float64())),
-                }
-            )
-        col = batch[emb_col].combine_chunks()
-        flat = col.values.to_numpy(zero_copy_only=False).astype(np.float64)
-        m = flat.reshape(len(ids), len(flat) // len(ids))
-        norms = np.linalg.norm(m, axis=1)
-        norms[norms == 0] = 1.0
-        mn = m / norms[:, None]
-        d = ((m[:, None, :] - cents_[None, :, :]) ** 2).sum(axis=2)
-        near = np.argsort(d, axis=1)[:, :n_assign]  # (B, n_assign)
-        rep_ids = np.repeat(ids.astype(np.int64), n_assign)
-        rep_cl = near.reshape(-1).astype(np.int32)
-        rep_vecs = np.repeat(mn, n_assign, axis=0)
-        dim = rep_vecs.shape[1]
-        offsets = np.arange(len(rep_ids) + 1, dtype=np.int32) * dim
-        vec_col = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()),
-            pa.array(rep_vecs.reshape(-1), pa.float64()),
-        )
-        return pa.table(
-            {
-                "cluster": pa.array(rep_cl),
-                "vid": pa.array(rep_ids),
-                "vec": vec_col,
-            }
-        )
-
-    def cluster_pairs(g: pa.Table) -> pa.Table:
-        ids = g["vid"].to_numpy()
-        if len(ids) < 2:
-            return pa.table(_EMPTY_COSINE)
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        col = g["vec"].combine_chunks()
-        flat = col.values.to_numpy(zero_copy_only=False)
-        m = flat.reshape(len(g), len(flat) // len(g))[order]
-        sims = m @ m.T
-        ia, ib = np.nonzero(np.triu(sims >= threshold, k=1))
-        keep = ids[ia] != ids[ib]  # a vector meeting itself via 2 clusters
-        ia, ib = ia[keep], ib[keep]
-        a, b = ids[ia], ids[ib]
-        swap = a > b
-        a2 = np.where(swap, b, a)
-        b2 = np.where(swap, a, b)
-        return pa.table(
-            {
-                "id_a": pa.array(a2.astype(np.int64)),
-                "id_b": pa.array(b2.astype(np.int64)),
-                "cosine_permille": pa.array(
-                    np.floor(sims[ia, ib] * 1000 + 1e-9).astype(np.int64)
-                ),
-            }
-        )
-
-    out = (
-        rd.read_parquet(emb_path, columns=[id_col, emb_col])
-        .map_batches(assign, batch_format="pyarrow")
-        .groupby("cluster")
-        .map_groups(cluster_pairs, batch_format="pyarrow")
-        .to_pandas()
-    )
-    if len(out) == 0:
-        return pa.table(_EMPTY_COSINE)
-    # a pair sharing several probed clusters is emitted once per cluster;
-    # sort on all three columns BEFORE deduping so the surviving permille
-    # is deterministic even if two dgemm shapes round the last ulp apart
-    out = (
-        out.sort_values(["id_a", "id_b", "cosine_permille"])
-        .drop_duplicates(["id_a", "id_b"])
-        .reset_index(drop=True)
-    )
     return pa.Table.from_pandas(out, preserve_index=False)

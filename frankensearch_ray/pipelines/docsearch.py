@@ -6,13 +6,12 @@ BM25 ranking contract is differentially tested in pytest instead, where the
 oracle shares the pinned arithmetic).
 
 The documents index is built once per ``sf_dir`` by the full Ray build
-pipeline and cached under ``/tmp/fsray_entry``.
+pipeline and cached under the pipelines' ``CACHE_ROOT``.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -31,8 +30,7 @@ from ..contract.query_ast import (
 )
 from ..schema import FIELD_CONTENT
 from ..search.searcher import LocalSearcher
-
-CACHE_ROOT = os.environ.get("FSRAY_CACHE", "/tmp/fsray_entry")
+from . import cache_path
 
 _SEARCHERS: dict[str, LocalSearcher] = {}
 
@@ -40,8 +38,7 @@ _SEARCHERS: dict[str, LocalSearcher] = {}
 def documents_index(sf_dir: str) -> str:
     """Build (or reuse) the inverted index over ``{sf_dir}/documents.parquet``."""
     src = os.path.join(sf_dir, "documents.parquet")
-    tag = Path(sf_dir).name or "sf"
-    index_dir = os.path.join(CACHE_ROOT, tag, "documents_idx")
+    index_dir = cache_path(sf_dir, "documents_idx")
     cfg = BuildConfig(
         id_col="doc_id",
         content_col="text",
@@ -922,8 +919,7 @@ def incremental_documents_index(sf_dir: str) -> str:
     from ..build import load_manifest
 
     src = os.path.join(sf_dir, "documents.parquet")
-    tag = Path(sf_dir).name or "sf"
-    index_dir = os.path.join(CACHE_ROOT, tag, "documents_idx_incr")
+    index_dir = cache_path(sf_dir, "documents_idx_incr")
     m = cached_manifest(index_dir)
     if m.get("source_mtime") == os.path.getmtime(src) and m.get(
         "incremental_appends_done"

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..sources import ingest
-
-CACHE_ROOT = os.environ.get("FSRAY_CACHE", "/tmp/fsray_entry")
+from . import cache_path
 
 COLUMNS = ["doc_id", "text", "lang", "source", "n_chars"]
 
@@ -27,8 +25,7 @@ def _row_files(sf_dir: str, fmt: str, files: int = 4) -> list[str]:
     """Serialize documents.parquet into ``files`` row-format shards
     (deterministic round-robin-free contiguous split), cached by mtime."""
     src = os.path.join(sf_dir, "documents.parquet")
-    tag = Path(sf_dir).name or "sf"
-    out_dir = os.path.join(CACHE_ROOT, tag, f"rowfmt_{fmt}")
+    out_dir = cache_path(sf_dir, f"rowfmt_{fmt}")
     os.makedirs(out_dir, exist_ok=True)
     t = pq.read_table(src, columns=COLUMNS)
     n = t.num_rows
@@ -56,8 +53,7 @@ def _row_files(sf_dir: str, fmt: str, files: int = 4) -> list[str]:
 
 
 def _roundtrip(sf_dir: str, fmt: str) -> pa.Table:
-    tag = Path(sf_dir).name or "sf"
-    staged_dir = os.path.join(CACHE_ROOT, tag, f"staged_{fmt}")
+    staged_dir = cache_path(sf_dir, f"staged_{fmt}")
     staged = ingest.stage_to_parquet(
         _row_files(sf_dir, fmt), staged_dir, fmt=fmt, columns=COLUMNS
     )

@@ -1,4 +1,4 @@
-"""Text-analysis + multimodal-plumbing operators over a documents table.
+"""Text-analysis operators over a documents table.
 
 - ``lang_id``: n-gram/stopword-ratio heuristic with a deterministic argmax
   (fixed language precedence on ties) — SQL-expressible so the oracle is
@@ -7,11 +7,7 @@
   count, distinct types, max word length, digit-token count);
 - ``token_stats``: corpus-level totals;
 - ``doc_fingerprint``: 64-bit Rabin-Karp rolling hash over the token
-  stream (deterministic doc identity for shift-tolerant matching);
-- ``media_features``: the multimodal plumbing pattern — treat the payload
-  as an opaque binary column, run a stateful actor-pool "decoder" whose
-  real decode is stubbed (no image/audio libs in this container) but whose
-  schema/batching/actor lifecycle is real.
+  stream (deterministic doc identity for shift-tolerant matching).
 """
 
 from __future__ import annotations
@@ -411,316 +407,6 @@ def doc_fingerprint(
         output_path,
     )
 
-
-class MediaDecoder:
-    """Actor-pool 'decoder' for opaque binary payloads.
-
-    The Ray plumbing (stateful actor init, Arrow binary batches, typed
-    output schema) is real; the default feature set is the deterministic
-    length-arithmetic stub (no general media libraries exist in this
-    container).  With ``probe_images=True`` the actor additionally runs
-    the REAL pure-NumPy codecs in :mod:`.media_codec` — payloads that
-    parse as BMP or PNG emit their actual ``(format, img_h, img_w,
-    img_ch)``; everything else probes as ``format=''`` with zero dims.
-    A real deployment replaces the codec module with PIL/ffmpeg and
-    keeps everything else.
-    """
-
-    FRAME_BYTES = 256  # stub: one "frame" per 256 payload bytes
-
-    def __init__(self, probe_images: bool = False):
-        from . import media_codec
-
-        self.decoded_batches = 0  # stands in for model/codec state
-        self.probe_images = probe_images
-        self.codec = media_codec  # loaded once per actor
-
-    def _decode_stub(self, payload: bytes) -> dict:
-        if payload is None:
-            payload = b""
-        return {
-            "n_bytes": len(payload),
-            "n_frames": len(payload) // self.FRAME_BYTES,
-        }
-
-    def _probe(self, payload: bytes) -> tuple[str, int, int, int]:
-        mc = self.codec
-        try:
-            if payload[:2] == b"BM":
-                img = mc.decode_bmp(payload)
-                return "bmp", img.shape[0], img.shape[1], img.shape[2]
-            if payload[: len(mc.PNG_SIG)] == mc.PNG_SIG:
-                img = mc.decode_png(payload)
-                return "png", img.shape[0], img.shape[1], img.shape[2]
-        except ValueError:
-            pass  # magic prefix but out of profile -> not an image
-        return "", 0, 0, 0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        self.decoded_batches += 1
-        payloads = batch["payload"].to_pylist()
-        feats = [self._decode_stub(p) for p in payloads]
-        cols = {
-            "doc_id": batch["doc_id"].cast(pa.int64()),
-            "n_bytes": pa.array([f["n_bytes"] for f in feats], pa.int64()),
-            "n_frames": pa.array([f["n_frames"] for f in feats], pa.int64()),
-        }
-        if self.probe_images:
-            probes = [self._probe(p or b"") for p in payloads]
-            cols["format"] = pa.array([p[0] for p in probes], pa.string())
-            cols["img_h"] = pa.array([p[1] for p in probes], pa.int64())
-            cols["img_w"] = pa.array([p[2] for p in probes], pa.int64())
-            cols["img_ch"] = pa.array([p[3] for p in probes], pa.int64())
-        return pa.table(cols)
-
-
-class MediaFrameSampler:
-    """Actor-pool frame sampler: every ``stride``-th fixed-size frame of an
-    opaque binary payload, including the partial tail frame.  Emits one row
-    per sampled frame (doc_id, frame_idx, frame_off, frame_len) — the
-    layout a real video/audio frame-sample stage hands to a downstream
-    feature extractor.  Like MediaDecoder the codec is a length-arithmetic
-    stub (no media libs in this container); the actor lifecycle, Arrow
-    binary batches, and the row-per-frame fan-out schema are real."""
-
-    FRAME_BYTES = 256
-
-    def __init__(self, stride: int = 4):
-        self.stride = stride  # stands in for decoder/codec state
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n_bytes = pc.binary_length(batch["payload"]).to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)
-        ids = batch["doc_id"].to_numpy().astype(np.int64)
-        fb, st = self.FRAME_BYTES, self.stride
-        n_frames = -(-n_bytes // fb)  # ceil: tail partial frame counts
-        n_samp = -(-n_frames // st)
-        rep = np.repeat(np.arange(len(ids)), n_samp)
-        within = np.arange(n_samp.sum()) - np.repeat(
-            np.concatenate(([0], np.cumsum(n_samp)[:-1])), n_samp
-        )
-        fi = within * st
-        off = fi * fb
-        ln = np.minimum(fb, n_bytes[rep] - off)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids[rep]),
-                "frame_idx": pa.array(fi),
-                "frame_off": pa.array(off),
-                "frame_len": pa.array(ln),
-            }
-        )
-
-
-def media_frame_sample(
-    sf_dir: str,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    stride: int = 4,
-    output_path: str | None = None,
-) -> pa.Table | None:
-    """(doc_id, frame_idx, frame_off, frame_len): every ``stride``-th
-    256-byte frame per payload — the frame-sample half of the multimodal
-    plumbing (MediaDecoder covers decode/feature-extract).  Actor pool so
-    a real codec's init cost is paid once per actor, row-per-frame fan-out
-    so downstream batches re-block to frame granularity."""
-    import ray.data as rd
-
-    def to_payload(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch[id_col].cast(pa.int64()),
-                "payload": pc.cast(pc.fill_null(batch[text_col], ""), pa.binary()),
-            }
-        )
-
-    ds = rd.read_parquet(_doc_path(sf_dir), columns=[id_col, text_col])
-    frames = ds.map_batches(to_payload, batch_format="pyarrow").map_batches(
-        MediaFrameSampler,
-        fn_constructor_kwargs={"stride": stride},
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=2,
-    )
-    if output_path is not None:
-        # library-scale sink: frames >> docs, so the row-per-frame fan-out
-        # streams to partitioned parquet and never lands on the driver
-        frames.write_parquet(output_path)
-        return None
-    out = frames.to_pandas()
-    return pa.Table.from_pandas(
-        out.sort_values(["doc_id", "frame_idx"]).reset_index(drop=True),
-        preserve_index=False,
-    )
-
-
-class MediaResizer:
-    """Actor-pool resize with REAL codec paths (VERDICT r04 #3): a
-    payload that parses as an uncompressed 24-bit BMP or an 8-bit
-    grey/RGB/RGBA non-interlaced PNG goes through the pure-NumPy
-    decode → nearest-neighbour resample (both axes floor-scaled by
-    ``num/den``, min 1 px) → re-encode pipeline in
-    :mod:`.media_codec` — actual pixels, pixel-exact testable.  Any
-    other payload falls back to the declared length-arithmetic stub
-    (each 256-byte frame rescales to ``(256*num)//den`` bytes, the
-    partial tail to ``(tail*num)//den``), so opaque/unknown formats
-    still flow and a deployment swaps the codec module for PIL/ffmpeg
-    without touching the Ray plumbing.  Image detection is a vectorized
-    magic-prefix check; only actual images take the per-image loop
-    (images are opaque rows — per-image work is inherent there)."""
-
-    FRAME_BYTES = 256
-
-    def __init__(self, num: int = 1, den: int = 2, emit_payload: bool = False):
-        from . import media_codec
-
-        self.num, self.den = int(num), int(den)
-        self.emit_payload = emit_payload
-        self.codec = media_codec  # loaded once per actor
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        fb = self.FRAME_BYTES
-        payload = batch["payload"]
-        n_bytes = pc.binary_length(payload).to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)
-        full = n_bytes // fb
-        tail = n_bytes - full * fb
-        out_frame = (fb * self.num) // self.den
-        out_bytes = full * out_frame + (tail * self.num) // self.den
-        n_frames = -(-n_bytes // fb)
-        # vectorized routing: rows whose payload leads with the BMP or
-        # PNG magic try the real codecs; everything else stays on the
-        # stub math
-        prefix2 = pc.binary_slice(payload, 0, 2)
-        maybe_bmp = pc.equal(prefix2, pa.scalar(b"BM", pa.binary()))
-        maybe_png = pc.equal(
-            pc.binary_slice(payload, 0, 8),
-            pa.scalar(self.codec.PNG_SIG, pa.binary()),
-        )
-        resized: dict[int, bytes] = {}
-        for i in map(
-            int,
-            np.flatnonzero(
-                pc.or_kleene(maybe_bmp, maybe_png).to_numpy(
-                    zero_copy_only=False
-                )
-            ),
-        ):
-            blob = payload[i].as_py()
-            fn = (
-                self.codec.resize_bmp
-                if blob[:2] == b"BM"
-                else self.codec.resize_png
-            )
-            try:
-                resized[i] = fn(blob, self.num, self.den)
-            except ValueError:
-                continue  # magic prefix but not our profile -> stub path
-        for i, blob in resized.items():
-            out_bytes[i] = len(blob)
-            n_frames[i] = 1  # one decoded image
-        cols = {
-            "doc_id": batch["doc_id"].cast(pa.int64()),
-            "in_bytes": pa.array(n_bytes),
-            "n_frames": pa.array(n_frames),
-            "out_bytes": pa.array(out_bytes),
-        }
-        if self.emit_payload:
-            # real pixels for decoded images; for opaque payloads the
-            # stub "resample" truncates to the resized byte budget (the
-            # row loop is the declared-stub exception)
-            raw = payload.to_pylist()
-            cols["payload"] = pa.array(
-                [
-                    resized.get(i, (p or b"")[: int(o)])
-                    for i, (p, o) in enumerate(zip(raw, out_bytes))
-                ],
-                pa.binary(),
-            )
-        return pa.table(cols)
-
-
-def media_resize(
-    sf_dir: str,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    num: int = 1,
-    den: int = 2,
-    output_path: str | None = None,
-) -> pa.Table | None:
-    """(doc_id, in_bytes, n_frames, out_bytes): per-frame rational resize
-    of opaque binary payloads — the resize verb of the multimodal
-    plumbing family (decode/feature-extract = media_features,
-    frame-sample = media_frame_sample).  ``output_path`` streams the
-    resized payloads themselves to partitioned parquet (payload columns
-    never land on the driver); the table path returns layout columns
-    only."""
-    import ray.data as rd
-
-    def to_payload(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch[id_col].cast(pa.int64()),
-                "payload": pc.cast(
-                    pc.fill_null(batch[text_col], ""), pa.binary()
-                ),
-            }
-        )
-
-    ds = rd.read_parquet(_doc_path(sf_dir), columns=[id_col, text_col])
-    resized = ds.map_batches(to_payload, batch_format="pyarrow").map_batches(
-        MediaResizer,
-        fn_constructor_kwargs={
-            "num": num,
-            "den": den,
-            "emit_payload": output_path is not None,
-        },
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=2,
-    )
-    if output_path is not None:
-        resized.write_parquet(output_path)
-        return None
-    out = resized.to_pandas()
-    return pa.Table.from_pandas(
-        out.sort_values("doc_id").reset_index(drop=True), preserve_index=False
-    )
-
-
-def media_features(
-    sf_dir: str,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    output_path: str | None = None,
-) -> pa.Table | None:
-    """Multimodal plumbing demo: text bytes as opaque payload -> actor-pool
-    decode -> (doc_id, n_bytes, n_frames).  ``output_path`` streams the
-    per-doc rows to parquet."""
-    import ray.data as rd
-
-    from ._sink import finish
-
-    def to_payload(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch[id_col].cast(pa.int64()),
-                "payload": pc.cast(
-                    pc.fill_null(batch[text_col], ""), pa.binary()
-                ),
-            }
-        )
-
-    ds = rd.read_parquet(_doc_path(sf_dir), columns=[id_col, text_col])
-    return finish(
-        ds.map_batches(to_payload, batch_format="pyarrow").map_batches(
-            MediaDecoder, batch_format="pyarrow", batch_size=256, concurrency=2
-        ),
-        ["doc_id"],
-        output_path,
-    )
 
 # BPE-ish pre-tokenizer pattern (GPT-2-flavored, ASCII-simplified so the
 # DuckDB oracle — also RE2 — matches byte-for-byte): a token is an

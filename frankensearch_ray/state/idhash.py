@@ -35,8 +35,10 @@ import pyarrow.parquet as pq
 
 N_BUCKETS = 64
 BASE_ROW_GROUP = 4096
+# the idmap rows' column order (``stages.tokenize.IDMAP_SCHEMA``), which
+# part files and non-empty base bucket files keep
 _ROWS_SCHEMA = pa.schema(
-    [("id", pa.string()), ("docid", pa.uint64()), ("content_hash", pa.uint64())]
+    [("docid", pa.uint64()), ("id", pa.string()), ("content_hash", pa.uint64())]
 )
 
 
@@ -238,7 +240,7 @@ class IdHashProbe:
         return out
 
     def lookup(self, values: list[str]) -> pa.Table:
-        """All (id, docid, content_hash) rows matching the given external
+        """All (docid, id, content_hash) rows matching the given external
         ids, docid-ascending (oldest first; callers apply newest-wins /
         tombstone rules)."""
         by_bucket: dict[int, list[str]] = {}

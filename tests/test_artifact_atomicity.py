@@ -1,9 +1,10 @@
 """Crash/staleness matrix for the build-once pipeline artifacts
-(`dedup.pair_graph_layout`, `corpus.dup_routes_layout`, ANN layouts
-share the same temp-dir + rename discipline): a killed build must never
-leave a valid-looking artifact, stale tmp dirs must not block a
-rebuild, and corrupt/stale meta.json must force a rebuild — the same
-torn-commit guarantees the manifest publish path pins."""
+(`dedup.pair_graph_layout` and `corpus.dup_routes_layout` share the same
+temp-dir + rename discipline): a killed build must never leave a
+valid-looking artifact, stale tmp dirs must not block a rebuild, and
+corrupt/stale meta.json must force a rebuild — the same torn-commit
+guarantees the manifest publish path pins.  Their consumers must also
+make progress in a one-CPU session."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import sys
 import pytest
 
 SF = "/root/testdata/sf0.001"
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 KILL_SCRIPT = """
 import os, sys
@@ -47,11 +49,6 @@ from frankensearch_ray.pipelines import {mod}
             f'corpus.dup_routes_layout("{SF}")',
             "dup_idx",
         ),
-        (
-            "ann",
-            f'ann.q8_layout("{SF}")',
-            "q8_idx",
-        ),
     ],
 )
 def test_killed_artifact_build_leaves_no_valid_meta(
@@ -64,7 +61,7 @@ def test_killed_artifact_build_leaves_no_valid_meta(
         [sys.executable, "-c", script, cache],
         capture_output=True,
         env=env,
-        cwd="/root/repo",
+        cwd=REPO,
     )
     assert r.returncode == 1, r.stderr.decode()[-2000:]
     # the kill landed after fragments were written but before publish:
@@ -88,9 +85,10 @@ def test_killed_artifact_build_leaves_no_valid_meta(
 def test_stale_tmp_and_corrupt_meta_force_clean_rebuild(
     ray_session, tmp_path, monkeypatch
 ):
-    from frankensearch_ray.pipelines import ann, corpus
+    from frankensearch_ray import pipelines
+    from frankensearch_ray.pipelines import corpus
 
-    monkeypatch.setattr(ann, "CACHE_ROOT", str(tmp_path / "cache"))
+    monkeypatch.setattr(pipelines, "CACHE_ROOT", str(tmp_path / "cache"))
     data_dir, n1 = corpus.dup_routes_layout(SF)
     out_dir = os.path.dirname(data_dir)
     # corrupt the meta -> rebuild (not a crash, not a stale reuse)
@@ -106,10 +104,35 @@ def test_stale_tmp_and_corrupt_meta_force_clean_rebuild(
     # param change -> separate artifact, both coexist
     d3, n3 = corpus.dup_routes_layout(SF, n=7)
     assert d3 != data_dir
-    # same discipline for the quantized-embedding layout
-    q1 = ann.q8_layout(SF)
-    with open(os.path.join(os.path.dirname(q1), "meta.json"), "w") as f:
-        f.write("{not json")
-    q2 = ann.q8_layout(SF)
-    assert q2 == q1 and os.path.isdir(q2)
-    assert ann.q8_layout(SF, scale=128) != q1
+    # the artifacts live under the patched root, not the default one
+    assert data_dir.startswith(str(tmp_path / "cache"))
+
+
+ONE_CPU_CLUSTERS = """
+import sys
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False)
+from frankensearch_ray.pipelines import dedup
+local = dedup.dedup_clusters(sys.argv[1])
+bsp = dedup.dedup_clusters(sys.argv[1], mode="bsp")
+assert local.num_rows > 0 and local.equals(bsp), (local.num_rows, bsp.num_rows)
+"""
+
+
+def test_dedup_clusters_progresses_on_one_cpu(tmp_path):
+    """The default (local-solver) ``dedup_clusters`` finishes in a
+    ``num_cpus=1`` session and labels every doc as the BSP solver does.
+    Its endpoint labels feed a union into the final merge exchange; left
+    lazy, that plan never schedules at one CPU."""
+    env = dict(os.environ, FSRAY_CACHE=str(tmp_path / "cache"))
+    try:
+        r = subprocess.run(
+            [sys.executable, "-c", ONE_CPU_CLUSTERS, SF],
+            capture_output=True,
+            env=env,
+            cwd=REPO,
+            timeout=240,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("dedup_clusters made no progress in 240 s at num_cpus=1")
+    assert r.returncode == 0, r.stderr.decode()[-2000:]

@@ -4,7 +4,6 @@ exact (recall)."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -284,24 +283,6 @@ class TestPairGraphLayout:
         dedup_clusters(self.SF, mode="local")
         dedup_clusters(self.SF, mode="bsp")
         assert os.path.getmtime(meta) == stamp
-
-
-class TestBucketedEmbeddingDedup:
-    def test_bucketed_matches_exact(self, ray_session):
-        """The bucketed (multi-probe IVF) pair finder must recover every
-        exact pair on the test corpus and report identical permille."""
-        from frankensearch_ray.pipelines.dedup import embedding_cosine_pairs
-
-        sf = "/root/testdata/sf0.01"
-        exact = embedding_cosine_pairs(sf, mode="exact").to_pylist()
-        bucketed = embedding_cosine_pairs(sf, mode="bucketed").to_pylist()
-        e = {(r["id_a"], r["id_b"]): r["cosine_permille"] for r in exact}
-        b = {(r["id_a"], r["id_b"]): r["cosine_permille"] for r in bucketed}
-        assert set(b) <= set(e), "bucketed emitted a non-pair"
-        recall = len(set(b) & set(e)) / max(1, len(e))
-        assert recall == pytest.approx(1.0), f"bucketed recall {recall}"
-        for k in b:
-            assert b[k] == e[k]
 
 
 class TestFingerprintBatch:

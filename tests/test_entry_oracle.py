@@ -4,20 +4,16 @@ order-insensitive values at sf0.01."""
 
 from __future__ import annotations
 
-import sys
-
 import duckdb
 import pandas as pd
 import pyarrow as pa
 import pytest
 
-sys.path.insert(0, "/root/repo")
-import __ray_entry__ as entrymod
+import __ray_entry__ as entrymod  # conftest puts the repo root on sys.path
 
 SF_DIR = "/root/testdata/sf0.01"
 TABLES = (
-    "region nation customer supplier part orders lineitem events documents "
-    "embeddings".split()
+    "region nation customer supplier part orders lineitem events documents".split()
 )
 
 

@@ -386,6 +386,12 @@ class TestIdHash:
         for name, ids in cases.items():
             assert got(ids) == expected(ids), name
         assert got(cases["absent"]) == [] and got([]) == []
+        # a miss, and every base bucket file, empty or not, has a hit's schema
+        hit_schema = probe.lookup(["d1"]).schema
+        assert probe.lookup(["nope"]).schema == hit_schema
+        for name in probe.files:
+            path = os.path.join(d, "idhash", name)
+            assert pq.read_schema(path) == hit_schema, name
 
         readded = got(["n2-3"])
         assert len(readded) == 2 and readded[0][1] < readded[1][1]

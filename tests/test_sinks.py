@@ -14,7 +14,6 @@ CASES = [
     ("textstats", "lang_id", ["doc_id"]),
     ("textstats", "quality_scores", ["doc_id"]),
     ("textstats", "doc_fingerprint", ["doc_id"]),
-    ("textstats", "media_features", ["doc_id"]),
     ("textstats", "bpe_token_counts", ["doc_id"]),
     ("corpus", "decontaminate", ["doc_id"]),
     ("corpus", "doc_keywords", ["doc_id"]),

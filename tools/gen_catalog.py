@@ -14,8 +14,10 @@ import importlib.util
 import inspect
 import os
 import re
+import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)  # queries() imports frankensearch_ray
 
 HEADER = """# Operator catalog
 

@@ -1,7 +1,6 @@
 """Cross-scale oracle sweep: run EVERY oracled driver entry against its
 DuckDB twin at an arbitrary sf dir (the driver gate and the in-suite
-replica both pin sf0.01; this tool catches scale-dependent divergence —
-it found the 4-bit LSH recall miss at sf0.001 in round 5).
+replica both pin sf0.01; this tool catches scale-dependent divergence).
 
     python tools/oracle_sweep.py [sf_dir] [num_cpus]
 
@@ -10,17 +9,18 @@ mismatch."""
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def main() -> int:
     sf = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     cpus = int(sys.argv[2]) if len(sys.argv) > 2 else 16
     # comma-separated skip list for oracles that are O(n^2) SQL at the
-    # larger scales (e.g. dedup_embedding,dedup_simhash at sf0.1)
+    # larger scales (e.g. dedup_simhash at sf0.1)
     skip = set((sys.argv[3] if len(sys.argv) > 3 else "").split(",")) - {""}
 
     import ray
@@ -39,7 +39,7 @@ def main() -> int:
 
     tables = (
         "region nation customer supplier part orders lineitem events "
-        "documents embeddings".split()
+        "documents".split()
     )
     con = duckdb.connect()
     for t in tables:

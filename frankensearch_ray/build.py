@@ -16,7 +16,8 @@
            · locates its row groups across partitions via footer stats
              on the shard column, sorts (field, term, bucket, docid),
              block-encodes postings (FOR/Bitmap/Vint) + blockmax +
-             positions, writes shards/shard-K.parquet + key sidecar
+             positions, writes shards/shard-K.parquet + key sidecar,
+             then the idhash base buckets b with b % num_shards == K
       └─ manifest.json (lineage, stats, salt routing, metrics) written last
          (two-slot publish: manifest.json + .prev)
 
@@ -59,6 +60,7 @@ import pyarrow.parquet as pq
 from .stages.encode import encode_shard_table
 from .stages.shard import assign_shards
 from .stages.tokenize import df_partials, tokenize_partition
+from .state import idhash as idh
 
 MANIFEST_NAME = "manifest.json"
 # on-disk format of the manifest and the files it names; an index
@@ -371,12 +373,16 @@ _PART_SUMMARY_SCHEMA = pa.schema(
 )
 
 
-def _read_part(part: dict, cfg: BuildConfig) -> pa.Table:
+def _read_part(part: dict, cfg: BuildConfig, limit: int | None = None) -> pa.Table:
+    """The partition's rows, or its first ``limit`` rows read from just
+    the leading row groups that cover them."""
     pf = pq.ParquetFile(part["path"])
-    return pf.read_row_groups(
-        list(range(part["rg_start"], part["rg_end"])),
-        columns=cfg.needed_columns(),
-    )
+    groups = range(part["rg_start"], part["rg_end"])
+    if limit is not None:
+        rows = np.cumsum([pf.metadata.row_group(g).num_rows for g in groups])
+        groups = groups[: int(np.searchsorted(rows, limit)) + 1]
+    t = pf.read_row_groups(list(groups), columns=cfg.needed_columns())
+    return t if limit is None else t.slice(0, limit)
 
 
 SALT_SAMPLE_ROWS_PER_PART = 4096
@@ -396,7 +402,7 @@ class _SampleDF:
         for part in batch.to_pylist():
             cfg = self.cfg
             result = cfg.run_tokenizer(
-                _read_part(part, cfg).slice(0, SALT_SAMPLE_ROWS_PER_PART),
+                _read_part(part, cfg, SALT_SAMPLE_ROWS_PER_PART),
                 part["pindex"],
                 verify=False,  # verification happens in the real pass
                 analyzer=self._analyzer,
@@ -560,11 +566,14 @@ class PhaseATokenizer:
         def rel(p: str) -> str:
             return os.path.relpath(p, self.index_dir)
 
+        # one term dictionary serves the routing hash and the key sort
+        de = pc.dictionary_encode(result["postings"]["term"].combine_chunks())
         routed = assign_shards(
             result["postings"],
             num_shards=cfg.num_shards,
             salted=self._salted_set(),
             partitions_per_bucket=self.ppb,
+            terms=de,
         )
         # KEY-SORTED within each shard row group: phase B k-way-merges
         # the per-partition streams without materializing a shard, so
@@ -572,7 +581,6 @@ class PhaseATokenizer:
         # ordered.  This moves the sort to the map side (partition-
         # sized sorts) — the reduce side only merges.  Strings are
         # sorted ONCE as a dictionary; rows lexsort on integer ranks.
-        de = pc.dictionary_encode(routed["term"].combine_chunks())
         codes = de.indices.to_numpy()
         rank_of = np.empty(len(de.dictionary), dtype=np.int64)
         rank_of[
@@ -618,8 +626,6 @@ class PhaseATokenizer:
         _atomic_write_table(result["doclen"], paths["doclen"])
         _atomic_write_table(result["idmap"], paths["idmap"])
         files.extend([rel(paths["doclen"]), rel(paths["idmap"])])
-        from .state import idhash as idh
-
         idh_path = idh.part_path(self.index_dir, part["pindex"])
         idh.write_partition_idhash(result["idmap"], idh_path)
         files.append(rel(idh_path))
@@ -773,14 +779,19 @@ class _EncodeShardFS:
     phase-A map-side partition); this task merges those streams with a
     bounded row budget and writes encoded row groups incrementally — no
     task ever holds a whole shard's postings, which is what lets a shard
-    reach 100s of GB at 10^12 docs (SCALE.md §growth path)."""
+    reach 100s of GB at 10^12 docs (SCALE.md §growth path).
+
+    The idhash base rides the same tasks: shard ``s`` then writes the
+    base bucket files of every bucket ``b`` with ``b % num_shards == s``
+    (none when ``s >= idhash.N_BUCKETS``)."""
 
     MERGE_BUDGET_ROWS = 2_000_000  # total buffered raw rows across streams
     MERGE_CHUNK_FLOOR = 8192  # smallest per-stream pull (tests shrink it)
 
-    def __init__(self, index_dir: str, n_parts: int, epoch: int = 0):
+    def __init__(self, index_dir: str, n_parts: int, num_shards: int, epoch: int = 0):
         self.index_dir = index_dir
         self.n_parts = n_parts
+        self.num_shards = num_shards
         self.epoch = epoch
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -822,6 +833,12 @@ class _EncodeShardFS:
             ]
             _merge_encode_streams(streams, writer)
         row = writer.close()
+        idh.write_base_buckets(
+            self.index_dir,
+            self.n_parts,
+            range(shard_id, idh.N_BUCKETS, self.num_shards),
+            self.epoch,
+        )
         return pa.table(
             {k: [row[k]] for k in _SHARD_SUMMARY_SCHEMA.names},
             schema=_SHARD_SUMMARY_SCHEMA,
@@ -890,17 +907,11 @@ def build_index(
         batch_format="pyarrow",
     ).take_all()
     t_phase_a = time.time()
-    # idhash base concat is independent of shard encode: launch it
-    # now and gather at manifest time — overlapped, zero critical path
-    from .state import idhash as idh
-
-    idh_refs, idh_meta = idh.launch_base(
-        index_dir, [p["pindex"] for p in parts]
-    )
+    # phase B: each shard task also writes its share of the idhash base
     shard_rows = (
         rd.from_items([{"shard": s} for s in range(cfg.num_shards)])
         .map_batches(
-            _EncodeShardFS(index_dir, n_parts),
+            _EncodeShardFS(index_dir, n_parts, cfg.num_shards),
             batch_size=1,
             batch_format="pyarrow",
         )
@@ -930,8 +941,6 @@ def build_index(
             }
         )
 
-    idhash_meta = idh.collect_base(idh_refs, idh_meta)
-
     n_docs = field_stats["content"]["doc_count"]
     elapsed = time.time() - t0
     shard_entries = sorted(
@@ -952,7 +961,7 @@ def build_index(
         "partitions": part_entries,
         "field_stats": field_stats,
         "shards": [dict(r) for r in shard_entries],
-        "idhash": idhash_meta,
+        "idhash": idh.base_meta(n_parts),
         "metrics": {
             "docs": n_docs,
             "postings": total_postings,

@@ -24,7 +24,6 @@ SQL token contract.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 

@@ -33,7 +33,6 @@ import math
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 

@@ -46,7 +46,6 @@ on the published CCNet / C4 / Gopher recipes.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -55,7 +54,6 @@ import pyarrow.compute as pc
 from ..stages.tokenize import hash64_column
 from ._sink import finish
 from .corpus import _doc_path, _parquet_num_rows, _tf_partials
-from .textstats import _flat_tokens, _tokens_of
 
 # (name, pattern, replacement) applied IN ORDER — SSN and IPv4 before
 # the greedy phone class so neither is half-eaten by it.  [0-9] (not

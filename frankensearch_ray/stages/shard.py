@@ -51,17 +51,21 @@ def assign_shards(
     num_shards: int,
     salted: set[tuple[int, str]],
     partitions_per_bucket: int,
+    terms: pa.DictionaryArray | None = None,
 ) -> pa.Table:
     """Append ``bucket`` and ``shard`` columns to a postings batch.
 
     Hashes each distinct (field, term) once per batch via dictionary
     encoding; docid -> bucket is pure integer math on the salted rows.
+    ``terms`` is the caller's ``dictionary_encode`` of ``batch["term"]``,
+    when it has one to reuse.
     """
     field = batch["field"].to_numpy()
     docid = batch["docid"].to_numpy()
-    term_dict = pc.dictionary_encode(batch["term"].combine_chunks())
-    codes = term_dict.indices.to_numpy()
-    uniq_terms = term_dict.dictionary.to_pylist()
+    if terms is None:
+        terms = pc.dictionary_encode(batch["term"].combine_chunks())
+    codes = terms.indices.to_numpy()
+    words = terms.dictionary.to_pylist()
 
     # hash each (field, term) pair that actually OCCURS — one blake2b per
     # distinct pair, not per (term x present-field) cross product (title
@@ -70,13 +74,17 @@ def assign_shards(
     n_fields = int(field.max()) + 1 if len(field) else 1
     pair_key = codes.astype(np.int64) * n_fields + field
     uniq_pairs, inv = np.unique(pair_key, return_inverse=True)
-    uh = np.empty(len(uniq_pairs), dtype=np.uint64)
-    us = np.zeros(len(uniq_pairs), dtype=bool)
-    for i, k in enumerate(uniq_pairs):
-        f = int(k % n_fields)
-        t = uniq_terms[int(k // n_fields)]
-        uh[i] = term_hash(f, t)
-        us[i] = (f, t) in salted
+    fs = (uniq_pairs % n_fields).tolist()
+    ts = [words[t] for t in (uniq_pairs // n_fields).tolist()]
+    prefix = [bytes([f]) for f in range(n_fields)]
+    blob = b"".join(
+        hashlib.blake2b(prefix[f] + t.encode("utf-8"), digest_size=8).digest()
+        for f, t in zip(fs, ts)
+    )
+    uh = np.frombuffer(blob, dtype="<u8")
+    us = np.fromiter(
+        ((f, t) in salted for f, t in zip(fs, ts)), dtype=bool, count=len(fs)
+    )
 
     row_hash = uh[inv]
     row_salted = us[inv]

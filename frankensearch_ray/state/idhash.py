@@ -13,8 +13,10 @@ Layout:
   partitions ``[0, base_partitions)``, concatenated in partition order
   and sorted by id, written with small row groups so an id probe
   binary-searches the footer id statistics and reads only the covering
-  row group(s).  Built at full build / compaction rollup under the
-  current epoch's name (crash-safe publish; GC'd like shard files).
+  row group(s).  Written by the phase-B shard tasks of a full build or
+  a compaction re-encode (shard ``s`` writes the buckets ``b`` with
+  ``b % num_shards == s``) under the current epoch's name (crash-safe
+  publish; GC'd like shard files).
 
 A probe = one base bucket file per touched bucket + one footer read and
 one ``read_row_groups`` call per part file of a partition appended AFTER
@@ -114,74 +116,55 @@ def _bucket_row_groups(pf: pq.ParquetFile, buckets) -> list[int]:
     return out
 
 
-def launch_base(
-    index_dir: str,
-    part_indices: list[int],
-    n_buckets: int = N_BUCKETS,
-    epoch: int = 0,
-):
-    """Launch the base-build tasks WITHOUT waiting: the bucket concat is
-    independent of shard encode, so ``build_index`` overlaps it with
-    phase B and only gathers at manifest time (zero critical-path
-    cost)."""
-    import ray
+def base_meta(n_parts: int, epoch: int = 0) -> dict:
+    """The manifest's ``idhash`` entry for a base over partitions
+    ``[0, n_parts)`` written under ``epoch``."""
+    return {
+        "buckets": N_BUCKETS,
+        "base_partitions": n_parts,
+        "files": [base_file_name(b, epoch) for b in range(N_BUCKETS)],
+    }
 
-    paths = [part_path(index_dir, p) for p in part_indices]
-    paths = [p for p in paths if os.path.exists(p)]
+
+def write_base_buckets(
+    index_dir: str, n_parts: int, buckets: range, epoch: int = 0
+) -> None:
+    """Write the base bucket files of ``buckets`` over partitions
+    ``[0, n_parts)``: each part file is opened once and only the row
+    groups of ``buckets`` are read (footer stats), so the buckets'
+    writers together read the part files once.  Within a bucket, rows
+    are concatenated in partition order, then stably sorted by id
+    (equal ids keep partition = docid order)."""
+    if not buckets:
+        return
+    rows: dict[int, list[pa.Table]] = {b: [] for b in buckets}
+    for p in range(n_parts):
+        path = part_path(index_dir, p)
+        if not os.path.exists(path):
+            continue
+        pf = pq.ParquetFile(path)
+        groups = _bucket_row_groups(pf, set(buckets))
+        if not groups:
+            continue
+        t = pf.read_row_groups(groups)
+        # part files are (bucket, id)-sorted: each bucket is one slice
+        col = t["bucket"].to_numpy()
+        for b in buckets:
+            lo, hi = np.searchsorted(col, [b, b + 1])
+            if hi > lo:
+                rows[b].append(t.slice(lo, hi - lo).drop_columns(["bucket"]))
     out_dir = os.path.join(index_dir, "idhash")
     os.makedirs(out_dir, exist_ok=True)
-
-    @ray.remote(num_cpus=1)
-    def one(bucket: int) -> str:
-        tables = []
-        for path in paths:
-            pf = pq.ParquetFile(path)
-            for g in _bucket_row_groups(pf, {bucket}):
-                t = pf.read_row_group(g)
-                t = t.filter(pc.equal(t["bucket"], bucket))
-                if len(t):
-                    tables.append(t.drop_columns(["bucket"]))
-        name = base_file_name(bucket, epoch)
-        out_path = os.path.join(out_dir, name)
-        if tables:
-            t = pa.concat_tables(tables)
-            # stable id sort; equal ids keep partition (= docid) order
-            order = pc.sort_indices(t, sort_keys=[("id", "ascending")])
-            t = t.take(order)
+    for b in buckets:
+        if rows[b]:
+            t = pa.concat_tables(rows[b])
+            t = t.take(pc.sort_indices(t, sort_keys=[("id", "ascending")]))
         else:
             t = _ROWS_SCHEMA.empty_table()
+        out_path = os.path.join(out_dir, base_file_name(b, epoch))
         tmp = out_path + ".tmp"
         pq.write_table(t, tmp, row_group_size=BASE_ROW_GROUP, compression="zstd")
         os.replace(tmp, out_path)
-        return name
-
-    refs = [one.remote(b) for b in range(n_buckets)]
-    meta = {
-        "buckets": n_buckets,
-        "base_partitions": (max(part_indices) + 1) if part_indices else 0,
-    }
-    return refs, meta
-
-
-def collect_base(refs, meta) -> dict:
-    import ray
-
-    return {**meta, "files": ray.get(refs)}
-
-
-def build_base(
-    index_dir: str,
-    part_indices: list[int],
-    n_buckets: int = N_BUCKETS,
-    epoch: int = 0,
-) -> dict:
-    """Concat each bucket across partitions -> sorted base bucket files.
-
-    B plain ray tasks (tiny control plane); each reads ONLY its bucket's
-    row groups from every partition idhash file — total bytes read
-    across all tasks = one pass over the idmap."""
-    refs, meta = launch_base(index_dir, part_indices, n_buckets, epoch)
-    return collect_base(refs, meta)
 
 
 class IdHashProbe:

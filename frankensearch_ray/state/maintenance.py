@@ -95,7 +95,7 @@ def _reencode_shards(
     return (
         rd.from_items([{"shard": s} for s in range(cfg.num_shards)])
         .map_batches(
-            _EncodeShardFS(index_dir, n_parts, epoch=epoch),
+            _EncodeShardFS(index_dir, n_parts, cfg.num_shards, epoch=epoch),
             batch_size=1,
             batch_format="pyarrow",
         )
@@ -185,11 +185,8 @@ def _rollup_and_publish(
         manifest.pop("delta_gens", None)  # full re-encode folds every delta
         from . import idhash as idh
 
-        manifest["idhash"] = idh.build_base(
-            index_dir,
-            [p["index"] for p in manifest["partitions"]],
-            epoch=next_epoch,
-        )
+        # the shard tasks above wrote the new epoch's idhash base
+        manifest["idhash"] = idh.base_meta(len(manifest["partitions"]), next_epoch)
     manifest["field_stats"] = field_stats
     manifest["metrics"]["postings"] = total_postings
     manifest["metrics"]["docs"] = field_stats["content"]["doc_count"]

@@ -406,6 +406,115 @@ class TestIdHash:
         }
 
 
+def _assert_base_matches_parts(d: str, m: dict) -> None:
+    """Every base bucket file equals its bucket's part-file rows,
+    concatenated in partition order, then stably sorted by id."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from frankensearch_ray.state import idhash as idh
+
+    n_parts = len(m["partitions"])
+    meta = m["idhash"]
+    assert meta["buckets"] == idh.N_BUCKETS
+    assert meta["base_partitions"] == n_parts
+    assert meta["files"] == [
+        idh.base_file_name(b, m.get("epoch", 0)) for b in range(idh.N_BUCKETS)
+    ]
+    by_bucket = {b: [] for b in range(idh.N_BUCKETS)}
+    for p in range(n_parts):
+        t = pq.read_table(idh.part_path(d, p))
+        for b, *row in zip(
+            *(t[c].to_pylist() for c in ("bucket", "docid", "id", "content_hash"))
+        ):
+            by_bucket[b].append(tuple(row))
+    for b, name in enumerate(meta["files"]):
+        t = pq.read_table(os.path.join(d, "idhash", name))
+        assert t.schema.names == ["docid", "id", "content_hash"], name
+        got = list(zip(*(t[c].to_pylist() for c in t.schema.names)))
+        assert got == sorted(by_bucket[b], key=lambda r: r[1]), name
+
+
+def _sixty_page_index(tmp_path, num_shards: int) -> tuple[str, dict]:
+    """60 pages in 4 partitions; "p07" is indexed twice (partitions 0 and
+    3), so one idhash bucket holds equal ids in partition order."""
+    import pyarrow.parquet as pq
+
+    rows = [(f"p{i:02d}", f"word{i % 7} body{i} shared") for i in range(60)]
+    rows[50] = ("p07", "a second p07 row")
+    src = tmp_path / "src.parquet"
+    pq.write_table(_pages_table(rows), src, row_group_size=15)
+    d = str(tmp_path / "idx")
+    cfg = BuildConfig(
+        id_col="url",
+        html_col="html",
+        verify_text_col=None,
+        num_shards=num_shards,
+        salt_threshold=10**9,
+        target_partition_rows=15,
+    )
+    m = build_index([str(src)], d, cfg, resume=False)
+    assert len(m["partitions"]) == 4
+    return d, m
+
+
+class TestIdHashBase:
+    """The phase-B shard tasks write the idhash base: shard ``s`` writes
+    the buckets ``b`` with ``b % num_shards == s``."""
+
+    @pytest.mark.parametrize("num_shards", [1, 5, 8, 80])
+    def test_base_after_build_and_compact(self, ray_session, tmp_path, num_shards):
+        d, m = _sixty_page_index(tmp_path, num_shards)
+        _assert_base_matches_parts(d, m)
+
+        mnt.append_table(
+            d,
+            _pages_table([("q1", "appended one"), ("q2", "appended two")]),
+            auto_maintain=False,
+        )
+        mnt.delete_documents(d, ["p03", "p20", "q2"], auto_maintain=False)
+        m = mnt.compact(d)
+        assert m["epoch"] == 1 and len(m["partitions"]) == 5
+        _assert_base_matches_parts(d, m)
+        assert _hit_ids(d, "id:q1") == ["q1"]
+        assert _hit_ids(d, "id:p20") == []
+
+    @pytest.mark.parametrize("num_shards", [1, 5, 8, 80])
+    def test_each_bucket_written_by_exactly_one_shard(
+        self, ray_session, tmp_path, monkeypatch, num_shards
+    ):
+        """Run every shard task body in process and record the buckets
+        each one writes: the 64 buckets are covered exactly once, and
+        shards at 64 and above write none."""
+        from frankensearch_ray.build import _EncodeShardFS
+        from frankensearch_ray.state import idhash as idh
+
+        d, m = _sixty_page_index(tmp_path, num_shards)
+        n_parts = len(m["partitions"])
+        written: dict[int, list[int]] = {}
+        real = idh.write_base_buckets
+
+        def recording(index_dir, n_parts, buckets, epoch=0):
+            written.setdefault(buckets.start, []).extend(buckets)
+            real(index_dir, n_parts, buckets, epoch)
+
+        monkeypatch.setattr(idh, "write_base_buckets", recording)
+        enc = _EncodeShardFS(d, n_parts, num_shards, epoch=7)
+        for s in range(num_shards):
+            enc._one(s)
+        assert sorted(written) == list(range(num_shards))
+        assert sorted(b for bs in written.values() for b in bs) == list(
+            range(idh.N_BUCKETS)
+        )
+        for s, buckets in written.items():
+            assert all(b % num_shards == s for b in buckets)
+            assert (not buckets) == (s >= idh.N_BUCKETS)
+        m["epoch"] = 7
+        m["idhash"] = idh.base_meta(n_parts, epoch=7)
+        _assert_base_matches_parts(d, m)
+
+
 class TestCommitWithoutRay:
     def test_append_upsert_delete_dispatch_nothing_to_ray(self, small_index):
         """A commit without maintenance tokenizes, encodes and probes in

@@ -100,7 +100,7 @@ def test_tiny_merge_budget_is_byte_identical(built, tmp_path, monkeypatch):
     os.symlink(
         os.path.join(idx, "postings"), os.path.join(tiny_dir, "postings")
     )
-    enc = _EncodeShardFS(tiny_dir, n_parts)
+    enc = _EncodeShardFS(tiny_dir, n_parts, cfg.num_shards)
     for e in manifest["shards"]:
         sid = int(e["index"])
         enc._one(sid)
